@@ -19,7 +19,6 @@ from .units import (
     DimensionError,
     Quantity,
     UnitsError,
-    convert,
     parse_quantity,
     quantity,
 )
@@ -50,12 +49,10 @@ from .noise_floor import (
 )
 from .spectral import (
     CovarianceModel,
-    FourierPair,
     SignalRecord,
     SpectralError,
     SpectrumSeries,
     WkIdentityResult,
-    finite_time_fourier,
     power_spectrum_estimate,
     sigma_spectrum,
     sign_function_transform,

@@ -12,16 +12,21 @@ import sys
 import numpy as np
 
 from . import geometry, noise_floor, spectral, workbench
-from .units import DimensionError, UnitsError, parse_quantity
+from .units import DimensionError, UnitsError, parse_quantity, quantity
 from .workbench import ConfigError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="catalog config path (default: bundled ingaas.cfg)")
-    p.add_argument("--output", help="write CSV to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--mode", choices=["longitudinal", "transverse"],
-                   default="longitudinal", help="probe configuration")
+_COMMON = {
+    "--config": dict(help="catalog config path (default: bundled ingaas.cfg)"),
+    "--output": dict(help="write CSV to this path instead of stdout"),
+    "--mode": dict(choices=["longitudinal", "transverse"], default="longitudinal",
+                   help="probe configuration"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,24 +37,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="geometric factor g for a catalog sample")
-    _add_common(p)
+    _add_common(p, "--config", "--mode")
     p.add_argument("--sample", required=True, help="sample id from the catalog")
     p.add_argument("--method", choices=["closed_form", "quadrature"],
                    default="closed_form")
 
     p = sub.add_parser("kappa", help="noise magnitude kappa for a catalog sample")
-    _add_common(p)
+    _add_common(p, "--config", "--mode")
     p.add_argument("--sample", required=True)
     p.add_argument("--g-source", choices=["computed", "table"], default="computed")
     p.add_argument("--single-species", action="store_true",
                    help="use only the lightest carrier species")
 
     p = sub.add_parser("delta", help="phonon-dressing exponent delta for a material")
-    _add_common(p)
+    _add_common(p, "--config")
     p.add_argument("--material", help="material name (default: first in catalog)")
 
     p = sub.add_parser("spectrum", help="evaluate S(f) for a catalog sample")
-    _add_common(p)
+    _add_common(p, "--config", "--output", "--mode")
     p.add_argument("--sample", required=True)
     p.add_argument("--u0", default="1 mV", help="bias voltage, e.g. '1 mV'")
     p.add_argument("--fmin", type=float, default=1e-2, help="Hz")
@@ -57,17 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
 
     p = sub.add_parser("estimate", help="estimate the spectrum of synthetic power-law noise")
-    _add_common(p)
+    _add_common(p, "--output")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--n", type=int, default=4096, help="samples per record (power of two)")
     p.add_argument("--dt", type=float, default=1.0, help="sample step, s")
     p.add_argument("--records", type=int, default=32, help="ensemble size")
 
     p = sub.add_parser("verify-wk", help="run the spectral-identity verification suite")
-    _add_common(p)
+    _add_common(p, "--output")
 
     p = sub.add_parser("report", help="full catalog comparison table")
-    _add_common(p)
+    _add_common(p, "--config", "--output", "--mode")
     p.add_argument("--g-source", choices=["computed", "table"], default="computed")
 
     return parser
@@ -75,8 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_catalog(args):
     if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{args.config}: not a text config ({err.reason})") from err
     else:
         text = workbench.bundled_config_text("ingaas")
     return workbench.load_catalog(text)
@@ -97,12 +106,12 @@ def _emit(report: workbench.Report, output) -> None:
         sys.stdout.write(report.to_csv())
 
 
-def _entry_model(entry, mode: str, single_species: bool = False):
+def _entry_model(entry, mode: str, single_species: bool = False, g=None):
     probes = (entry.probes_longitudinal if mode == "longitudinal"
               else entry.probes_transverse)
     return noise_floor.build_model(
         entry.geom, probes, entry.material, configuration=mode,
-        single_species=single_species, delta_override=entry.delta_override)
+        single_species=single_species, delta_override=entry.delta_override, g=g)
 
 
 def cmd_factor(args) -> int:
@@ -121,21 +130,16 @@ def cmd_factor(args) -> int:
 def cmd_kappa(args) -> int:
     entries, _ = _load_catalog(args)
     entry = _find_sample(entries, args.sample)
-    model = _entry_model(entry, args.mode, args.single_species)
+    g = None
     if args.g_source == "table":
         override = (entry.g_override if args.mode == "longitudinal"
                     else entry.g_tr_override)
         if override is None:
             raise ConfigError(f"sample '{args.sample}' has no tabulated g for "
                               f"mode '{args.mode}'")
-        gf = geometry.GeometricFactor(
-            value=parse_quantity(f"{override} cm^-1"), configuration=args.mode)
-        k = noise_floor.kappa(gf, entry.material, single_species=args.single_species)
-        if model.delta > 0:
-            k *= model.fstar.to("Hz") ** model.delta
-    else:
-        k = model.kappa
-    print(f"kappa = {k:.6g}  gamma = {model.gamma:.6g}  "
+        g = geometry.GeometricFactor(quantity(override, "cm^-1"), args.mode)
+    model = _entry_model(entry, args.mode, args.single_species, g)
+    print(f"kappa = {model.kappa:.6g}  gamma = {model.gamma:.6g}  "
           f"fmax = {model.fmax.to('Hz'):.6g} Hz")
     return 0
 
@@ -167,6 +171,8 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--u0 {args.u0!r}: {err}") from err
     if args.fmin <= 0 or args.fmax <= args.fmin:
         raise ConfigError("need 0 < fmin < fmax")
+    if args.points < 0:
+        raise ConfigError(f"--points {args.points}: must be >= 0")
     f = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
     series = noise_floor.evaluate_spectrum(model, u0, f)
     if args.output:
@@ -221,7 +227,7 @@ _COMMANDS = {
 
 _INPUT_ERRORS = (ConfigError, UnitsError, DimensionError,
                  geometry.GeometryError, noise_floor.NoiseFloorError,
-                 spectral.SpectralError, OSError, ValueError)
+                 spectral.SpectralError, OSError)
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ adaptive octree quadrature provides an independent cross-check path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -50,9 +50,9 @@ class SampleGeometry:
     def volume(self) -> float:
         return self.l * self.w * self.a
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and np.all(x <= self.dims + tol))
+        return bool(np.all(x >= 0.0) and np.all(x <= self.dims))
 
 
 @dataclass(frozen=True)

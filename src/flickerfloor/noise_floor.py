@@ -14,8 +14,8 @@ exceeds the bound roughly by (hbar * 2 pi f * D * Omega)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -167,36 +167,40 @@ def validity_bound(material: Material, geom: SampleGeometry) -> ValidityBound:
 
 def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
                 configuration: str = "longitudinal", single_species: bool = False,
-                delta_override: Optional[float] = None) -> NoiseFloorModel:
+                delta_override: Optional[float] = None,
+                g: Optional[GeometricFactor] = None) -> NoiseFloorModel:
     """Compose geometry and material into an evaluable noise-floor model.
 
     delta_override substitutes a measured exponent shift for the computed
-    piezoelectric one (used e.g. when only gamma_exp is known).
+    piezoelectric one (used e.g. when only gamma_exp is known).  g, when
+    given (e.g. a tabulated value), is used instead of computing it from
+    geom and probes.
     """
-    if configuration == "longitudinal":
-        g = geometric_factor(geom, probes)
-    elif configuration == "transverse":
-        g = geometric_factor_transverse(geom, probes)
-    else:
+    if configuration not in ("longitudinal", "transverse"):
         raise NoiseFloorError(f"unknown configuration '{configuration}'")
+    if g is None:
+        factor = (geometric_factor if configuration == "longitudinal"
+                  else geometric_factor_transverse)
+        g = factor(geom, probes)
     caveats = []
     if delta_override is not None:
         delta = float(delta_override)
         if delta < 0:
             raise NoiseFloorError("delta_override must be >= 0")
-        caveats.append("delta taken from measurement, not from piezoelectric coupling")
+        caveats.append("delta from measured exponent")
     else:
         try:
             delta = phonon_delta(material)
         except MissingPiezoDataError:
             delta = 0.0
-            caveats.append("no piezoelectric data; gamma forced to 1")
+            caveats.append("no piezo data; gamma=1")
+        if delta > 0:
+            caveats.append("state filling smears the effective delta; empty-band value used")
     fstar = corner_frequency(material)
     k = kappa(g, material, single_species=single_species)
     if delta > 0:
         # f* enters in Hz; the exponent shift makes kappa carry Hz^delta
         k *= fstar.to("Hz") ** delta
-        caveats.append("state filling smears the effective delta; empty-band value used")
     bound = validity_bound(material, geom)
     return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fstar=fstar, fmax=bound.fmax,
                            configuration=configuration, bound=bound,

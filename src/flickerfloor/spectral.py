@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sici
 
 
 class SpectralError(ValueError):
@@ -66,15 +65,6 @@ class SignalRecord:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
-
-
-@dataclass(frozen=True)
-class FourierPair:
-    """Finite-time sine/cosine transforms of a record at one frequency (V*s)."""
-
-    us: float
-    uc: float
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -148,17 +138,6 @@ class WkIdentityResult:
 # estimator
 # ---------------------------------------------------------------------------
 
-def finite_time_fourier(rec: SignalRecord, f: float) -> FourierPair:
-    """Trapezoidal finite-time sine/cosine transform at frequency f >= 0."""
-    if f < 0:
-        raise SpectralError("frequency must be nonnegative")
-    omega = 2.0 * math.pi * f
-    t = rec.times
-    us = np.trapezoid(rec.samples * np.sin(omega * t), dx=rec.dt)
-    uc = np.trapezoid(rec.samples * np.cos(omega * t), dx=rec.dt)
-    return FourierPair(us=float(us), uc=float(uc), omega=omega)
-
-
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid."""
     if len(ensemble) < 1:
@@ -193,6 +172,22 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
 # ---------------------------------------------------------------------------
 
 _NODES_PER_PANEL = 24  # one panel per oscillation period
+
+# Maclaurin coefficients of Si(x)/x in powers of x^2: (-1)^k / ((2k+1) (2k+1)!)
+_SI_COEFFS = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(8))
+
+
+def _sine_integral(x: float) -> float:
+    """Si(x) = int_0^x sin(t)/t dt by its Maclaurin series.
+
+    Eight terms reach double precision for |x| <= pi/4, the only range used
+    here; the first omitted term is below 4e-18 relative.
+    """
+    x2 = x * x
+    acc = 0.0
+    for c in reversed(_SI_COEFFS):
+        acc = acc * x2 + c
+    return x * acc
 
 
 def _panel_points(edges: np.ndarray, n_nodes: int = _NODES_PER_PANEL):
@@ -262,9 +257,8 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
     w = abs(omega)  # both integrals are even in omega
     period = 2.0 * math.pi / w
     b = min(period / 8.0, t_m / 2.0)
-    # exact ln-weight panel: int_0^b ln(tau) cos(w tau) dtau
-    si_b, _ = sici(w * b)
-    head = math.sin(w * b) * math.log(b) / w - si_b / w
+    # exact ln-weight panel: int_0^b ln(tau) cos(w tau) dtau, with w*b <= pi/4
+    head = math.sin(w * b) * math.log(b) / w - _sine_integral(w * b) / w
     edges = _oscillation_edges(w, t_m)
     edges = np.unique(np.concatenate([edges[edges >= b], [b]]))
     tau, wts = _panel_points(edges)

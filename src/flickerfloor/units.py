@@ -247,22 +247,6 @@ def parse_quantity(text: str) -> Quantity:
     return quantity(value, parts[1] if len(parts) > 1 else "")
 
 
-def convert(q: Quantity, unit: str) -> Quantity:
-    """Re-express q in the given unit; the physical value is unchanged.
-
-    Raises DimensionError when the target unit has a different dimension.
-    """
-    return quantity(q.to(unit), unit)
-
-
-def dimension_of(factors: Iterable[tuple[Quantity, Exponent]]) -> Dimension:
-    """Combined dimension of a symbolic product of (quantity, exponent) pairs."""
-    out = DIMENSIONLESS
-    for q, exp in factors:
-        out = out * (q.dim ** exp)
-    return out
-
-
 @dataclass(frozen=True)
 class ConstantsTable:
     """Physical constants, CODATA 2018, Gaussian-CGS."""

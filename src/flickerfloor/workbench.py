@@ -11,16 +11,14 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-import numpy as np
-
 from . import geometry, noise_floor, spectral
 from .geometry import ProbePair, SampleGeometry
-from .noise_floor import CarrierSpecies, Material, MissingPiezoDataError
-from .units import DimensionError, Quantity, UnitsError, parse_quantity, parse_unit, quantity
+from .noise_floor import CarrierSpecies, Material
+from .units import DimensionError, Quantity, UnitsError, parse_quantity, quantity
 
 
 class ConfigError(ValueError):
@@ -47,7 +45,6 @@ class CatalogEntry:
 class Report:
     columns: list[str]
     rows: list[dict]
-    trace: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -241,18 +238,6 @@ _REPORT_COLUMNS = ["sample", "g_cm^-1", "g_tr_cm^-1", "kappa_th", "kappa_exp",
                    "ratio_exp_th", "gamma", "fmax_Hz", "annotations"]
 
 
-def _entry_delta(entry: CatalogEntry) -> tuple[float, list[str]]:
-    notes = []
-    if entry.delta_override is not None:
-        notes.append("delta from measured exponent")
-        return entry.delta_override, notes
-    try:
-        return noise_floor.phonon_delta(entry.material), notes
-    except MissingPiezoDataError:
-        notes.append("no piezo data; gamma=1")
-        return 0.0, notes
-
-
 def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
                      g_source: str = "computed") -> Report:
     """Per-row kappa_th from geometry + noise_floor, against measured values.
@@ -266,49 +251,36 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
         raise ConfigError(f"unknown mode '{mode}'")
     if g_source not in ("computed", "table"):
         raise ConfigError(f"unknown g_source '{g_source}'")
-    rows, trace = [], []
+    rows = []
     for entry in catalog:
-        g_long = geometry.geometric_factor(entry.geom, entry.probes_longitudinal)
-        g_tr = geometry.geometric_factor_transverse(entry.geom, entry.probes_transverse)
-        g_long_val = g_long.value.to("cm^-1")
-        g_tr_val = g_tr.value.to("cm^-1")
+        g_long = g_tr = None
         if g_source == "table":
-            if entry.g_override is not None:
-                g_long_val = entry.g_override
-            if entry.g_tr_override is not None:
-                g_tr_val = entry.g_tr_override
-        use_val = g_long_val if mode == "longitudinal" else g_tr_val
-        gf = geometry.GeometricFactor(quantity(use_val, "cm^-1"), mode)
-        k = noise_floor.kappa(gf, entry.material)
-        delta, notes = _entry_delta(entry)
-        fstar_hz = noise_floor.corner_frequency(entry.material).to("Hz")
-        if delta > 0:
-            k *= fstar_hz ** delta
-        fmax = noise_floor.validity_bound(entry.material, entry.geom).fmax.to("Hz")
-        kappa_exp = entry.kappa_exp if mode == "longitudinal" else entry.kappa_exp_transverse
-        annotations = [entry.annotation] if entry.annotation else []
-        annotations += notes
+            g_long, g_tr = entry.g_override, entry.g_tr_override
+        if g_long is None:
+            g_long = geometry.geometric_factor(
+                entry.geom, entry.probes_longitudinal).value.to("cm^-1")
+        if g_tr is None:
+            g_tr = geometry.geometric_factor_transverse(
+                entry.geom, entry.probes_transverse).value.to("cm^-1")
+        longitudinal = mode == "longitudinal"
+        g = geometry.GeometricFactor(quantity(g_long if longitudinal else g_tr, "cm^-1"), mode)
+        model = noise_floor.build_model(
+            entry.geom, entry.probes_longitudinal if longitudinal else entry.probes_transverse,
+            entry.material, configuration=mode, delta_override=entry.delta_override, g=g)
+        kappa_exp = entry.kappa_exp if longitudinal else entry.kappa_exp_transverse
+        annotations = ([entry.annotation] if entry.annotation else []) + list(model.caveats)
         rows.append({
             "sample": entry.sample_id,
-            "g_cm^-1": g_long_val,
-            "g_tr_cm^-1": g_tr_val,
-            "kappa_th": k,
+            "g_cm^-1": g_long,
+            "g_tr_cm^-1": g_tr,
+            "kappa_th": model.kappa,
             "kappa_exp": kappa_exp,
-            "ratio_exp_th": (kappa_exp / k) if kappa_exp is not None else None,
-            "gamma": 1.0 + delta,
-            "fmax_Hz": fmax,
+            "ratio_exp_th": (kappa_exp / model.kappa) if kappa_exp is not None else None,
+            "gamma": model.gamma,
+            "fmax_Hz": model.fmax.to("Hz"),
             "annotations": "; ".join(annotations),
         })
-        trace.append({
-            "sample": entry.sample_id,
-            "dims_cm": (entry.geom.l, entry.geom.w, entry.geom.a),
-            "probes": (entry.probes_longitudinal if mode == "longitudinal"
-                       else entry.probes_transverse),
-            "g_source": g_source,
-            "material": entry.material.name,
-            "mode": mode,
-        })
-    return Report(columns=list(_REPORT_COLUMNS), rows=rows, trace=trace)
+    return Report(columns=list(_REPORT_COLUMNS), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flickerfloor.geometry import (
     GeometricFactor,
     SampleGeometry,
+    geometric_factor,
     longitudinal_probes,
     transverse_probes,
 )
@@ -197,6 +198,26 @@ def test_build_model_delta_override():
                         delta_override=0.06)
     assert model.gamma == pytest.approx(1.06)
     assert model.kappa == pytest.approx(base.kappa * 5e12 ** 0.06, rel=1e-10)
+
+
+def test_build_model_with_given_g():
+    geom = v1_geometry()
+    probes = longitudinal_probes(geom)
+    computed = build_model(geom, probes, make_material())
+    tabulated = build_model(geom, probes, make_material(), g=gfactor(100.0))
+    assert tabulated.kappa == kappa(gfactor(100.0), make_material())
+    assert build_model(geom, probes, make_material(),
+                       g=geometric_factor(geom, probes)) == computed
+    with pytest.raises(NoiseFloorError):
+        build_model(geom, probes, make_material(), configuration="diagonal", g=gfactor(1.0))
+
+
+def test_build_model_missing_piezo_caveat():
+    geom = v1_geometry()
+    model = build_model(geom, longitudinal_probes(geom),
+                        make_material(h14=None, acoustic_match="matched"))
+    assert model.gamma == 1.0
+    assert model.caveats == ("no piezo data; gamma=1",)
 
 
 def test_evaluate_spectrum_reference_point():

@@ -10,7 +10,7 @@ from flickerfloor.spectral import (
     CovarianceModel,
     SignalRecord,
     SpectralError,
-    finite_time_fourier,
+    _sine_integral,
     power_spectrum_estimate,
     read_signal_csv,
     sigma_spectrum,
@@ -28,22 +28,26 @@ def sinusoid_record(amplitude=1.0, f0=1.0, n=4096, dt=0.01):
 
 
 # ---------------------------------------------------------------------------
-# finite_time_fourier
+# single-record power: power_spectrum_estimate([rec], [f]) * t_m = Us^2 + Uc^2
 # ---------------------------------------------------------------------------
+
+def single_record_power(rec, f):
+    return power_spectrum_estimate([rec], np.array([f])).value[0] * rec.t_m
+
 
 def test_fourier_of_zero_signal():
     rec = SignalRecord(samples=np.zeros(64), dt=0.1)
-    pair = finite_time_fourier(rec, 1.0)
-    assert pair.us == 0.0 and pair.uc == 0.0
+    assert single_record_power(rec, 1.0) == 0.0
 
 
 def test_fourier_of_sinusoid():
     rec = sinusoid_record(amplitude=2.0, f0=1.0)
-    pair = finite_time_fourier(rec, 1.0)
+    power = single_record_power(rec, 1.0)
     omega = 2.0 * np.pi * 1.0
     assert omega * rec.t_m > 100
-    assert pair.us == pytest.approx(2.0 * rec.t_m / 2.0, rel=2.0 / (omega * rec.t_m))
-    assert abs(pair.uc) < 2.0 / omega
+    # Us = A t_m / 2 to relative 2/(omega t_m) and |Uc| < A/omega
+    us, rel = 2.0 * rec.t_m / 2.0, 2.0 / (omega * rec.t_m)
+    assert (us * (1.0 - rel)) ** 2 <= power <= (us * (1.0 + rel)) ** 2 + (2.0 / omega) ** 2
 
 
 def test_fourier_of_constant_signal():
@@ -51,10 +55,10 @@ def test_fourier_of_constant_signal():
     rec = SignalRecord(samples=np.full(n, c), dt=dt)
     f = 0.8
     omega = 2.0 * np.pi * f
-    pair = finite_time_fourier(rec, f)
     t_m = rec.t_m
-    assert pair.uc == pytest.approx(c * math.sin(omega * t_m) / omega, rel=1e-5)
-    assert pair.us == pytest.approx(c * (1.0 - math.cos(omega * t_m)) / omega, rel=1e-5)
+    # Us = c (1 - cos w t_m) / w and Uc = c sin(w t_m) / w
+    assert single_record_power(rec, f) == pytest.approx(
+        2.0 * c ** 2 * (1.0 - math.cos(omega * t_m)) / omega ** 2, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,16 @@ def test_wk_identity_error_decays_as_inverse_time():
         e2 = abs(wk_identity_check(omega, 2.0 * t_m).difference + math.pi / omega)
         ratios.append(e2 / e1)
     assert 0.3 <= np.mean(ratios) <= 0.7
+
+
+@pytest.mark.parametrize("x, si", [
+    # Si(x) from a 60-digit mpmath evaluation, rounded to double
+    (1e-3, 0.0009999999444444462),
+    (0.5, 0.4931074180430667),
+    (math.pi / 4, 0.7589758810687827),
+])
+def test_sine_integral_series(x, si):
+    assert _sine_integral(x) == pytest.approx(si, rel=4e-16, abs=0.0)
 
 
 def test_sign_function_transform_closed_form():

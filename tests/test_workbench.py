@@ -1,8 +1,15 @@
 """Catalog loading, table reproduction, verification suite, and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import flickerfloor
 from flickerfloor import cli
+from flickerfloor.noise_floor import build_model
 from flickerfloor.workbench import (
     ConfigError,
     bundled_config_text,
@@ -166,6 +173,25 @@ def test_ybco_bulk_row_uses_measured_exponent():
     assert rows["bulk-B"]["kappa_th"] == pytest.approx(2.2e-14, rel=0.25)
 
 
+def test_model_caveats_follow_delta_source():
+    entries = (load_catalog(bundled_config_text("ybco"))[0]
+               + load_catalog(bundled_config_text("gaas_piezo"))[0])
+    caveats = {e.sample_id: build_model(e.geom, e.probes_longitudinal, e.material,
+                                        delta_override=e.delta_override).caveats
+               for e in entries}
+    # a measured delta is not also the empty-band piezoelectric value
+    assert caveats["bulk-B"] == ("delta from measured exponent",)
+    assert caveats["bar"] == ("state filling smears the effective delta; empty-band value used",)
+
+
+def test_report_annotations_carry_model_caveats():
+    entries, _ = load_catalog(bundled_config_text("gaas_piezo"))
+    for mode in ("longitudinal", "transverse"):
+        rows = {r["sample"]: r for r in reproduce_tables(entries, mode=mode).rows}
+        assert rows["bar"]["annotations"] == (
+            "state filling smears the effective delta; empty-band value used")
+
+
 def test_gaas_piezo_delta():
     _, materials = load_catalog(bundled_config_text("gaas_piezo"))
     from flickerfloor.noise_floor import phonon_delta
@@ -269,3 +295,46 @@ def test_cli_input_errors_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[sample:X]\nmaterial = none\n")
     assert cli.main(["report", "--config", str(bad)]) == 1
+
+
+def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
+    assert cli.main(["spectrum", "--sample", "V1", "--points", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00[sample:\x9c]\n")
+    assert cli.main(["report", "--config", str(binary)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_internal_value_error_propagates(monkeypatch):
+    def broken(args):
+        raise ValueError("internal bug")
+    monkeypatch.setitem(cli._COMMANDS, "factor", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["factor", "--sample", "V1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--sample", "V1", "--seed", "1"],
+    ["kappa", "--sample", "V1", "--output", "k.csv"],
+    ["delta", "--mode", "transverse"],
+    ["estimate", "--config", "x.cfg"],
+    ["verify-wk", "--mode", "transverse"],
+    ["report", "--seed", "1"],
+])
+def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_import_cli_loads_no_scipy():
+    src = str(Path(flickerfloor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, flickerfloor.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
