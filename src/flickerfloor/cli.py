@@ -150,8 +150,10 @@ def cmd_delta(args) -> int:
         if args.material not in materials:
             raise ConfigError(f"unknown material '{args.material}'")
         mat = materials[args.material]
-    else:
+    elif materials:
         mat = next(iter(materials.values()))
+    else:
+        raise ConfigError("catalog defines no material")
     delta = noise_floor.phonon_delta(mat)
     fstar = noise_floor.corner_frequency(mat).to("Hz")
     mag = fstar ** delta

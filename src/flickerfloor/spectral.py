@@ -69,7 +69,11 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """(f, S(f)) result arrays, with per-point standard errors."""
+    """(f, S(f)) result arrays, with per-point standard errors.
+
+    Each annotation is a per-point array (a flag or a factor); the spectrum
+    CSV writes it as one more column.
+    """
 
     f: np.ndarray
     value: np.ndarray
@@ -138,6 +142,11 @@ class WkIdentityResult:
 # estimator
 # ---------------------------------------------------------------------------
 
+# time samples per block of the phase matrices; peak memory is
+# O(n_f * _SAMPLES_PER_BLOCK), independent of the record length
+_SAMPLES_PER_BLOCK = 4096
+
+
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid."""
     if len(ensemble) < 1:
@@ -153,10 +162,14 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     t = ensemble[0].times
     w = np.full(n, dt)
     w[0] = w[-1] = dt / 2.0  # trapezoid weights
-    x = np.stack([rec.samples for rec in ensemble]) * w  # (n_rec, n)
-    phase = 2.0 * math.pi * np.outer(f, t)               # (n_f, n)
-    us = x @ np.sin(phase).T
-    uc = x @ np.cos(phase).T                              # (n_rec, n_f)
+    us = np.zeros((len(ensemble), f.size))
+    uc = np.zeros((len(ensemble), f.size))
+    for lo in range(0, n, _SAMPLES_PER_BLOCK):
+        hi = min(lo + _SAMPLES_PER_BLOCK, n)
+        x = np.stack([rec.samples[lo:hi] for rec in ensemble]) * w[lo:hi]  # (n_rec, hi-lo)
+        phase = 2.0 * math.pi * np.outer(f, t[lo:hi])                       # (n_f, hi-lo)
+        us += x @ np.sin(phase).T
+        uc += x @ np.cos(phase).T                                           # (n_rec, n_f)
     t_m = ensemble[0].t_m
     p = (us ** 2 + uc ** 2) / t_m
     mean = p.mean(axis=0)
@@ -172,6 +185,12 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
 # ---------------------------------------------------------------------------
 
 _NODES_PER_PANEL = 24  # one panel per oscillation period
+# panels per chunk; peak memory is O(_NODES_PER_PANEL * _PANELS_PER_CHUNK),
+# independent of f * t_m
+_PANELS_PER_CHUNK = 2048
+# work budget: the most panels one quadrature may use, about f * t_m; at the
+# limit the edge array alone takes 40 MB
+_MAX_PANELS = 5_000_000
 
 # Maclaurin coefficients of Si(x)/x in powers of x^2: (-1)^k / ((2k+1) (2k+1)!)
 _SI_COEFFS = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(8))
@@ -190,31 +209,44 @@ def _sine_integral(x: float) -> float:
     return x * acc
 
 
-def _panel_points(edges: np.ndarray, n_nodes: int = _NODES_PER_PANEL):
-    nodes, weights = leggauss(n_nodes)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    pts = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-    wts = half[:, None] * weights
-    return pts.ravel(), wts.ravel()
+def _panel_chunks(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights (tau, wts) on the panels between
+    consecutive edges, at most _PANELS_PER_CHUNK panels at a time."""
+    nodes, weights = leggauss(_NODES_PER_PANEL)
+    for start in range(0, edges.size - 1, _PANELS_PER_CHUNK):
+        chunk = edges[start:start + _PANELS_PER_CHUNK + 1]
+        lo, hi = chunk[:-1], chunk[1:]
+        half = 0.5 * (hi - lo)
+        tau = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+        yield tau.ravel(), (half[:, None] * weights).ravel()
 
 
 def _oscillation_edges(omega: float, t_m: float, inner_scale: float | None = None) -> np.ndarray:
-    """Panel edges on [0, t_m]: one per period, log-refined near tau = 0."""
+    """Panel edges on [0, t_m]: one per period, log-refined near tau = 0.
+
+    Raises SpectralError before allocating anything when the panel count
+    t_m/period exceeds the work budget _MAX_PANELS.
+    """
     period = 2.0 * math.pi / abs(omega)
-    n_periods = int(math.floor(t_m / period))
-    edges = [0.0]
+    needed = t_m / period
+    if not needed <= _MAX_PANELS:
+        raise SpectralError(
+            f"t_m={t_m:g} s at |omega|={abs(omega):g} rad/s needs {needed:.3g} "
+            f"quadrature panels; the limit is {_MAX_PANELS:,}")
+    n_periods = int(math.floor(needed))
+    head = [0.0]
     first = min(period, t_m)
     if inner_scale is not None and inner_scale > 0:
-        # resolve the covariance scale before the first oscillation boundary
+        # resolve the covariance scale before the first oscillation boundary;
+        # a start that underflows to 0 would never grow
         s = inner_scale * 1e-4
-        while s < first:
-            edges.append(s)
+        while 0.0 < s < first:
+            head.append(s)
             s *= 10.0
-    edges.extend(period * k for k in range(1, n_periods + 1))
+    edges = np.concatenate([head, period * np.arange(1, n_periods + 1, dtype=float)])
     if edges[-1] < t_m:
-        edges.append(t_m)
-    return np.unique(np.asarray(edges))
+        edges = np.append(edges, t_m)
+    return np.unique(edges)
 
 
 def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
@@ -232,12 +264,16 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
         raise SpectralError(
             f"t_m={t_m:g} s too small for f={f:g} Hz; need t_m >= {t_min:g} s")
     edges = _oscillation_edges(omega, t_m, inner_scale=cov.tau0)
-    tau, wts = _panel_points(edges)
-    sp, sm = cov.evaluate(tau), cov.evaluate(-tau)
-    ep, em = np.exp(1j * omega * tau), np.exp(-1j * omega * tau)
-    term1 = np.sum(wts * (sp * ep + sm * em))
-    term2 = np.sum(wts * tau * (sp * ep + sm * em)) / t_m
-    result = term1 - term2
+    # sp e^{iw tau} + sm e^{-iw tau} = (sp + sm) cos(w tau) + i (sp - sm) sin(w tau)
+    term1 = term2 = 0j
+    for tau, wts in _panel_chunks(edges):
+        sp, sm = cov.evaluate(tau), cov.evaluate(-tau)
+        phase = omega * tau
+        re = wts * (sp + sm) * np.cos(phase)
+        im = wts * (sp - sm) * np.sin(phase)
+        term1 += complex(np.sum(re), np.sum(im))
+        term2 += complex(np.sum(tau * re), np.sum(tau * im))
+    result = term1 - term2 / t_m
     if abs(result.imag) >= 1e-9 * max(abs(result.real), 1e-300):
         raise SpectralError(
             f"imaginary part {result.imag:g} not negligible against {result.real:g}; "
@@ -261,14 +297,16 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
     head = math.sin(w * b) * math.log(b) / w - _sine_integral(w * b) / w
     edges = _oscillation_edges(w, t_m)
     edges = np.unique(np.concatenate([edges[edges >= b], [b]]))
-    tau, wts = _panel_points(edges)
-    lhs1 = 2.0 * (head + float(np.sum(wts * np.log(tau) * np.cos(w * tau))))
+    lhs1 = 2.0 * (head + sum(float(np.sum(wts * np.log(tau) * np.cos(w * tau)))
+                             for tau, wts in _panel_chunks(edges)))
     # |tau| ln|tau| is continuous at 0; log-refine its head panels instead
     head_edges = b * np.logspace(-8, 0, 9)
     edges2 = np.unique(np.concatenate([[0.0], head_edges, edges]))
-    tau2, wts2 = _panel_points(edges2)
-    integrand2 = tau2 * np.where(tau2 > 0, np.log(np.where(tau2 > 0, tau2, 1.0)), 0.0)
-    lhs2 = 2.0 / t_m * float(np.sum(wts2 * integrand2 * np.cos(w * tau2)))
+    lhs2 = 0.0
+    for tau2, wts2 in _panel_chunks(edges2):
+        integrand2 = tau2 * np.where(tau2 > 0, np.log(np.where(tau2 > 0, tau2, 1.0)), 0.0)
+        lhs2 += float(np.sum(wts2 * integrand2 * np.cos(w * tau2)))
+    lhs2 *= 2.0 / t_m
     return WkIdentityResult(lhs1=lhs1, lhs2=lhs2, difference=lhs1 - lhs2,
                             target=-math.pi / w)
 
@@ -281,8 +319,8 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
     if omega == 0 or not t_m > 0:
         raise SpectralError("need omega != 0 and t_m > 0")
     edges = _oscillation_edges(abs(omega), t_m)
-    tau, wts = _panel_points(edges)
-    return complex(2j * np.sum(wts * np.sin(omega * tau)))
+    return 2j * sum(float(np.sum(wts * np.sin(omega * tau)))
+                    for tau, wts in _panel_chunks(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +384,13 @@ def read_signal_csv(path) -> SignalRecord:
 
 
 def spectrum_csv_text(series: SpectrumSeries) -> str:
-    lines = ["f,S,stderr"]
-    for f, s, e in zip(series.f, series.value, series.stderr):
-        lines.append(f"{f:.6g},{s:.6g},{e:.6g}")
+    """CSV with columns f,S,stderr, then one column per annotation."""
+    names = list(series.annotations)
+    columns = [series.f, series.value, series.stderr] + [
+        np.asarray(series.annotations[name], dtype=float) for name in names]
+    lines = [",".join(["f", "S", "stderr"] + names)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.6g}" for v in row))
     return "\n".join(lines) + "\n"
 
 

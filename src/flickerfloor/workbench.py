@@ -205,7 +205,8 @@ def _parse_sample(section: str, parser: configparser.ConfigParser,
 
 def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Material]]:
     """Parse a catalog config into validated entries (SI converted to CGS)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(config_text)
     except configparser.Error as err:

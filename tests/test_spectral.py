@@ -1,11 +1,14 @@
 """Finite-measurement-time spectral estimation and its integral identities."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flickerfloor import spectral
 from flickerfloor.spectral import (
     CovarianceModel,
     SignalRecord,
@@ -169,6 +172,15 @@ def test_sigma_preconditions():
     assert "t_m" in str(err.value)  # names the required measurement time
 
 
+def test_sigma_with_underflowing_inner_scale_terminates():
+    # tau0 * 1e-4 rounds to 0.0, which once made the edge refinement loop forever
+    cov = CovarianceModel(kind="user-function", tau0=1e-321,
+                          func=lambda tau: np.exp(-np.abs(tau)))
+    ref = CovarianceModel(kind="exponential", tau0=1.0)
+    assert sigma_spectrum(cov, f=0.1, t_m=1e3) == pytest.approx(
+        sigma_spectrum(ref, f=0.1, t_m=1e3), rel=1e-12)
+
+
 def test_covariance_model_validation():
     with pytest.raises(SpectralError):
         CovarianceModel(kind="log-law", tau0=-1.0)
@@ -236,6 +248,62 @@ def test_sign_function_transform_closed_form():
     result = sign_function_transform(omega, t_m)
     target = 2j * (1.0 - math.cos(omega * t_m)) / omega
     assert abs(result - target) <= 1e-10 * abs(target)
+
+
+# ---------------------------------------------------------------------------
+# chunked kernels and the work budget
+# ---------------------------------------------------------------------------
+
+def spectral_kernel_values():
+    loglaw = CovarianceModel(kind="log-law", tau0=1.0, a_cov=1.0)
+    expcov = CovarianceModel(kind="exponential", tau0=2.0)
+    wk = wk_identity_check(1.0, 1e3)
+    sk = sign_function_transform(1.3, 1e3)
+    rng = np.random.default_rng(3)
+    recs = [SignalRecord(samples=rng.normal(size=1024), dt=0.5) for _ in range(3)]
+    psd = power_spectrum_estimate(recs, np.linspace(0.01, 0.9, 9))
+    return np.concatenate([
+        [sigma_spectrum(loglaw, f=0.01, t_m=1e4), sigma_spectrum(expcov, f=0.05, t_m=2e3),
+         wk.lhs1, wk.lhs2, sk.imag], psd.value, psd.stderr])
+
+
+@pytest.mark.parametrize("panels, samples", [(7, 100), (10 ** 9, 10 ** 9)])
+def test_chunk_size_does_not_change_results(monkeypatch, panels, samples):
+    # 7 panels and 100 samples leave ragged last chunks; 10**9 takes all at once
+    reference = spectral_kernel_values()
+    monkeypatch.setattr(spectral, "_PANELS_PER_CHUNK", panels)
+    monkeypatch.setattr(spectral, "_SAMPLES_PER_BLOCK", samples)
+    np.testing.assert_allclose(spectral_kernel_values(), reference, rtol=1e-12, atol=0.0)
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ft, limit_mb", [(1e5, 16.0), (1e6, 50.0)])
+def test_sigma_peak_memory_is_bounded(ft, limit_mb):
+    # all panels at once needed 239 MB at f*t_m = 1e5 and 2.5 GB at 1e6
+    cov = CovarianceModel(kind="log-law", tau0=1.0, a_cov=1.0)
+    assert traced_peak_mb(sigma_spectrum, cov, 0.01, ft / 0.01) < limit_mb
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (sigma_spectrum, (CovarianceModel(kind="log-law"), 1.0, 1e12)),
+    (wk_identity_check, (2.0 * math.pi, 1e12)),
+    (sign_function_transform, (2.0 * math.pi, 1e12)),
+])
+def test_work_budget_rejects_before_allocating(kernel, args):
+    message = f"1e+12 quadrature panels; the limit is {spectral._MAX_PANELS:,}"
+
+    def rejected():
+        with pytest.raises(SpectralError, match=re.escape(message)):
+            kernel(*args)
+    assert traced_peak_mb(rejected) < 0.1
 
 
 # ---------------------------------------------------------------------------

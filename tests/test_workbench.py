@@ -1,5 +1,7 @@
 """Catalog loading, table reproduction, verification suite, and the CLI."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -60,6 +62,11 @@ def test_bundled_ingaas_has_five_samples():
 def test_empty_config_gives_empty_catalog():
     entries, materials = load_catalog("")
     assert entries == [] and materials == {}
+
+
+def test_bare_percent_in_a_value_is_literal():
+    entries, _ = load_catalog(MINIMAL_CFG + "annotation = 50% above the floor\n")
+    assert entries[0].annotation == "50% above the floor"
 
 
 def test_negative_thickness_rejected_naming_field():
@@ -268,8 +275,23 @@ def test_cli_spectrum(tmp_path):
                      "--fmin", "1", "--fmax", "100", "--points", "5",
                      "--output", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "f,S,stderr"
+    assert lines[0] == "f,S,stderr,beyond_validity,excess_factor"
     assert len(lines) == 6
+
+
+def test_cli_spectrum_marks_points_beyond_validity(capsys):
+    entries, _ = load_catalog(bundled_config_text("ingaas"))
+    v80 = next(e for e in entries if e.sample_id == "V80")
+    fmax = build_model(v80.geom, v80.probes_longitudinal, v80.material).fmax.to("Hz")
+    assert 50.0 < fmax < 51.0
+    assert cli.main(["spectrum", "--sample", "V80", "--fmax", "1000"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    beyond = [float(r["f"]) > fmax for r in rows]
+    assert any(beyond) and not all(beyond)
+    for row, out_of_range in zip(rows, beyond):
+        assert row["beyond_validity"] == ("1" if out_of_range else "0")
+        excess = float(row["excess_factor"])
+        assert excess > 1.0 if out_of_range else excess == 1.0
 
 
 def test_cli_estimate_deterministic(tmp_path):
@@ -285,6 +307,13 @@ def test_cli_verify_wk(capsys):
     assert cli.main(["verify-wk"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_delta_without_materials_exits_1(capsys, tmp_path):
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    assert cli.main(["delta", "--config", str(empty)]) == 1
+    assert "error: catalog defines no material" in capsys.readouterr().err
 
 
 def test_cli_input_errors_exit_1(capsys, tmp_path):
