@@ -99,11 +99,12 @@ def _find_sample(entries, sample_id: str) -> workbench.CatalogEntry:
     raise ConfigError(f"unknown sample '{sample_id}' (catalog has: {known})")
 
 
-def _emit(report: workbench.Report, output) -> None:
+def _emit(text: str, output) -> None:
     if output:
-        report.write_csv(output)
+        with open(output, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(report.to_csv())
+        sys.stdout.write(text)
 
 
 def _entry_model(entry, mode: str, single_species: bool = False, g=None):
@@ -177,10 +178,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--points {args.points}: must be >= 0")
     f = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
     series = noise_floor.evaluate_spectrum(model, u0, f)
-    if args.output:
-        spectral.write_spectrum_csv(series, args.output)
-    else:
-        sys.stdout.write(spectral.spectrum_csv_text(series))
+    _emit(spectral.spectrum_csv_text(series), args.output)
     return 0
 
 
@@ -191,16 +189,13 @@ def cmd_estimate(args) -> int:
     t_m = args.dt * (args.n - 1)
     f = np.logspace(np.log10(10.0 / t_m), np.log10(0.25 / args.dt), 60)
     series = spectral.power_spectrum_estimate(records, f)
-    if args.output:
-        spectral.write_spectrum_csv(series, args.output)
-    else:
-        sys.stdout.write(spectral.spectrum_csv_text(series))
+    _emit(spectral.spectrum_csv_text(series), args.output)
     return 0
 
 
 def cmd_verify_wk(args) -> int:
     report = workbench.run_verification_suite()
-    _emit(report, args.output)
+    _emit(report.to_csv(), args.output)
     if report.failures:
         for row in report.failures:
             print(f"FAIL: {row['case']} rel_error={row['rel_error']:.3g}",
@@ -213,7 +208,7 @@ def cmd_report(args) -> int:
     entries, _ = _load_catalog(args)
     report = workbench.reproduce_tables(entries, mode=args.mode,
                                         g_source=args.g_source)
-    _emit(report, args.output)
+    _emit(report.to_csv(), args.output)
     return 0
 
 

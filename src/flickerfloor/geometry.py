@@ -81,7 +81,6 @@ class ProbePair:
 class GeometricFactor:
     value: Quantity                 # cm^-1
     configuration: str              # "longitudinal" | "transverse"
-    quadrature_error_estimate: float = 0.0
 
 
 def longitudinal_probes(geom: SampleGeometry) -> ProbePair:
@@ -166,16 +165,9 @@ _ETA = 2.5          # admissibility: cell used when dist >= eta * half-diagonal
 _SIZE_FLOOR = 3e-4  # singular-cell size floor, relative to the box diagonal
 
 
-@dataclass
-class _QuadTally:
-    total: float = 0.0
-    error: float = 0.0
-    cells: int = 0
-
-
 def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
-                 nodes: np.ndarray, weights: np.ndarray, tally: _QuadTally) -> None:
-    # tensor-product Gauss-Legendre over a batch of admissible cells
+                 nodes: np.ndarray, weights: np.ndarray) -> float:
+    # tensor-product Gauss-Legendre over a batch of admissible cells, summed
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
     gx = centers[:, None, 0] + halves[:, None, 0] * nodes
@@ -187,25 +179,19 @@ def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
     inv_r = 1.0 / np.sqrt(dx * dx + dy * dy + dz * dz)
     wxyz = weights[None, :, None, None] * weights[None, None, :, None] * weights[None, None, None, :]
     vals = np.prod(halves, axis=1) * np.einsum("cijk,cijk->c", inv_r, np.broadcast_to(wxyz, inv_r.shape))
-    tally.total += float(np.sum(vals))
-    tally.cells += len(vals)
-    # heuristic per-cell error: geometric convergence rate of the Gauss rule
-    h = np.linalg.norm(halves, axis=1)
-    d = np.linalg.norm(np.maximum(np.abs(x - centers) - halves, 0.0), axis=1)
-    tally.error += float(np.sum(np.abs(vals) * (h / np.maximum(d, h)) ** (2 * _GAUSS_ORDER)))
+    return float(np.sum(vals))
 
 
-def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> float:
     """Octree quadrature of the box Coulomb integral.
 
     Cells well separated from the singular point get a tensor Gauss rule;
     cells containing or touching it are subdivided down to a size floor and
     the residual singular cells are evaluated with the exact corner primitive.
-    Returns (value, error_estimate).
     """
     nodes, weights = leggauss(_GAUSS_ORDER)
     floor_h = _SIZE_FLOOR * float(np.linalg.norm(dims))
-    tally = _QuadTally()
+    total = 0.0
     los = np.zeros((1, 3))
     his = dims[None, :].astype(float)
     batch = 4096
@@ -219,11 +205,10 @@ def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> tuple[float, fl
         use_gauss = np.flatnonzero(far)
         for start in range(0, len(use_gauss), batch):
             idx = use_gauss[start:start + batch]
-            _gauss_cells(los[idx], his[idx], x, nodes, weights, tally)
+            total += _gauss_cells(los[idx], his[idx], x, nodes, weights)
         sing = np.flatnonzero(~far & tiny)
         for i in sing:
-            tally.total += _closed_form_box_integral(his[i] - los[i], x - los[i])
-            tally.cells += 1
+            total += _closed_form_box_integral(his[i] - los[i], x - los[i])
         split = np.flatnonzero(~far & ~tiny)
         if len(split) == 0:
             break
@@ -236,7 +221,16 @@ def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> tuple[float, fl
         right_lo[np.arange(len(split)), axis] = mid
         los = np.concatenate([slos, right_lo])
         his = np.concatenate([left_hi, shis])
-    return tally.total, tally.error
+    return total
+
+
+def _box_integral(dims: np.ndarray, x: np.ndarray, method: str) -> float:
+    # the one place where the method picks the rule
+    if method == "closed_form":
+        return _closed_form_box_integral(dims, x)
+    if method == "quadrature":
+        return _quadrature_box_integral(dims, x)
+    raise GeometryError(f"unknown method '{method}'")
 
 
 # ---------------------------------------------------------------------------
@@ -253,40 +247,25 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
     x = np.asarray(x, dtype=float)
     if x.shape != (3,) or not np.all(np.isfinite(x)):
         raise GeometryError(f"evaluation point must be a finite 3-vector, got {x!r}")
-    if method == "closed_form":
-        value = _closed_form_box_integral(geom.dims, x)
-    elif method == "quadrature":
-        value, _ = _quadrature_box_integral(geom.dims, x)
-    else:
-        raise GeometryError(f"unknown method '{method}'")
-    return quantity(value, "cm^2")
+    return quantity(_box_integral(geom.dims, x, method), "cm^2")
 
 
-def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> tuple[float, float]:
+def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> float:
     probes.validate_on(geom)
-    err = 0.0
-    if method == "closed_form":
-        total = (_closed_form_box_integral(geom.dims, np.asarray(probes.x1, float))
-                 + _closed_form_box_integral(geom.dims, np.asarray(probes.x2, float)))
-        err = 1e-13 * total  # roundoff-scale
-    else:
-        v1, e1 = _quadrature_box_integral(geom.dims, np.asarray(probes.x1, float))
-        v2, e2 = _quadrature_box_integral(geom.dims, np.asarray(probes.x2, float))
-        total, err = v1 + v2, e1 + e2
-    return total, err
+    return (_box_integral(geom.dims, np.asarray(probes.x1, float), method)
+            + _box_integral(geom.dims, np.asarray(probes.x2, float), method))
 
 
 def geometric_factor(geom: SampleGeometry, probes: ProbePair,
                      method: str = "closed_form") -> GeometricFactor:
     """Longitudinal geometric factor g, in cm^-1."""
-    total, err = _probe_integral_sum(geom, probes, method)
-    g = total / (3.0 * geom.volume)
-    return GeometricFactor(quantity(g, "cm^-1"), "longitudinal", err / (3.0 * geom.volume))
+    g = _probe_integral_sum(geom, probes, method) / (3.0 * geom.volume)
+    return GeometricFactor(quantity(g, "cm^-1"), "longitudinal")
 
 
 def geometric_factor_transverse(geom: SampleGeometry, probes: ProbePair,
                                 method: str = "closed_form") -> GeometricFactor:
     """Transverse geometric factor g_tr = (w/l)^2 * g, in cm^-1."""
-    total, err = _probe_integral_sum(geom, probes, method)
     scale = (geom.w / geom.l) ** 2 / (3.0 * geom.volume)
-    return GeometricFactor(quantity(total * scale, "cm^-1"), "transverse", err * scale)
+    g_tr = _probe_integral_sum(geom, probes, method) * scale
+    return GeometricFactor(quantity(g_tr, "cm^-1"), "transverse")

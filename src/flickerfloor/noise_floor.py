@@ -39,13 +39,10 @@ class CarrierSpecies:
 
     label: str
     mass_m0: float
-    charge: Quantity = CODATA2018.e
 
     def __post_init__(self):
         if not self.mass_m0 > 0:
             raise NoiseFloorError(f"carrier '{self.label}': effective mass must be positive")
-        if self.charge.value == 0:
-            raise NoiseFloorError(f"carrier '{self.label}': charge must be nonzero")
 
     @property
     def mass(self) -> Quantity:
@@ -114,15 +111,13 @@ def kappa(g: GeometricFactor, material: Material, single_species: bool = False) 
 
     With single_species=True only the lightest carrier contributes.
     """
-    if not material.carriers:
-        raise NoiseFloorError(f"material '{material.name}' has no carrier species")
     species: Sequence[CarrierSpecies] = material.carriers
     if single_species:
         species = [min(material.carriers, key=lambda s: s.mass_m0)]
     c = CODATA2018
     total = quantity(0.0)
     for sp in species:
-        term = 2.0 * sp.charge ** 4 * g.value / (math.pi * sp.mass * c.hbar * c.c ** 3)
+        term = 2.0 * c.e ** 4 * g.value / (math.pi * sp.mass * c.hbar * c.c ** 3)
         total = total + term
     assert total.dim == DIMENSIONLESS
     return total.value

@@ -25,7 +25,6 @@ reduced to one cycle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -66,10 +65,6 @@ class SignalRecord:
     @property
     def t_m(self) -> float:
         return self.dt * (self.n - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) * self.dt
 
 
 @dataclass(frozen=True)
@@ -284,6 +279,8 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
     """
     if not (math.isfinite(f) and f != 0):
         raise SpectralError(f"Sigma(f) is defined only at a finite f != 0, got {f}")
+    if not math.isfinite(t_m):
+        raise SpectralError(f"t_m must be finite, got {t_m}")
     omega = 2.0 * math.pi * f
     t_min = 100.0 / abs(omega)
     if t_m < t_min:
@@ -318,8 +315,9 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
     their difference converges to -pi/|omega|.  The log singularity at tau=0
     is integrated with its exact antiderivative (via the sine integral).
     """
-    if not (math.isfinite(omega) and omega != 0 and t_m > 0):
-        raise SpectralError(f"need a finite omega != 0 and t_m > 0, got {omega}, {t_m}")
+    if not (math.isfinite(omega) and omega != 0 and math.isfinite(t_m) and t_m > 0):
+        raise SpectralError(
+            f"need a finite omega != 0 and a finite t_m > 0, got omega={omega}, t_m={t_m}")
     w = abs(omega)  # both integrals are even in omega
     period = 2.0 * math.pi / w
     b = min(period / 8.0, t_m / 2.0)
@@ -344,8 +342,9 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
 
     Closed form: 2i (1 - cos(w t_m)) / w.
     """
-    if not (math.isfinite(omega) and omega != 0 and t_m > 0):
-        raise SpectralError(f"need a finite omega != 0 and t_m > 0, got {omega}, {t_m}")
+    if not (math.isfinite(omega) and omega != 0 and math.isfinite(t_m) and t_m > 0):
+        raise SpectralError(
+            f"need a finite omega != 0 and a finite t_m > 0, got omega={omega}, t_m={t_m}")
     _, s = _fourier_integrals(lambda tau: np.ones((1, tau.size)), omega, t_m)
     return 2j * float(s[0])
 
@@ -382,33 +381,8 @@ def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# CSV import/export
+# CSV export
 # ---------------------------------------------------------------------------
-
-def write_signal_csv(rec: SignalRecord, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(rec.times, rec.samples):
-            writer.writerow([f"{t:.9g}", f"{v:.9g}"])
-
-
-def read_signal_csv(path) -> SignalRecord:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-            raise SpectralError(f"{path}: expected header 't,value'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if len(rows) < 2:
-        raise SpectralError(f"{path}: need at least 2 samples")
-    t = np.array([r[0] for r in rows])
-    steps = np.diff(t)
-    dt = steps[0]
-    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(abs(dt), 1.0)):
-        raise SpectralError(f"{path}: time grid is not uniform")
-    return SignalRecord(samples=np.array([r[1] for r in rows]), dt=float(dt))
-
 
 def spectrum_csv_text(series: SpectrumSeries) -> str:
     """CSV with columns f,S,stderr, then one column per annotation."""
@@ -420,7 +394,3 @@ def spectrum_csv_text(series: SpectrumSeries) -> str:
         lines.append(",".join(f"{v:.6g}" for v in row))
     return "\n".join(lines) + "\n"
 
-
-def write_spectrum_csv(series: SpectrumSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(spectrum_csv_text(series))

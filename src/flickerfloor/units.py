@@ -91,13 +91,6 @@ class Quantity:
         self._require_same_dim(other, "add")
         return Quantity(self.value + other.value, self.dim)
 
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "subtract")
-        return Quantity(self.value - other.value, self.dim)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value * other.value, self.dim * other.dim)
@@ -117,22 +110,6 @@ class Quantity:
 
     def __pow__(self, n: Exponent) -> "Quantity":
         return Quantity(self.value ** float(Fraction(n)), self.dim ** n)
-
-    def _cmp_value(self, other: "Quantity") -> float:
-        self._require_same_dim(other, "compare")
-        return other.value
-
-    def __lt__(self, other: "Quantity") -> bool:
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other: "Quantity") -> bool:
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other: "Quantity") -> bool:
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other: "Quantity") -> bool:
-        return self.value >= self._cmp_value(other)
 
     def to(self, unit: str) -> float:
         """Magnitude of this quantity expressed in ``unit``."""

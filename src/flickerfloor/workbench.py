@@ -62,10 +62,6 @@ class Report:
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     @property
     def failures(self) -> list[dict]:
         return [r for r in self.rows if r.get("status") == "FAIL"]
@@ -298,7 +294,7 @@ def _verify_row(case: str, computed: float, target: float, tol: float) -> dict:
             "status": "PASS" if rel <= tol else "FAIL"}
 
 
-def run_verification_suite(options: Optional[dict] = None) -> Report:
+def run_verification_suite() -> Report:
     """Standing checks of the generalized Wiener-Khinchin identities."""
     rows = []
     # log-kernel identity difference -> -pi/|omega|

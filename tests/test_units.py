@@ -59,12 +59,6 @@ def test_addition_requires_equal_dimensions():
     assert total.to("cm") == pytest.approx(101.0)
 
 
-def test_comparison_requires_equal_dimensions():
-    assert quantity(1.0, "m") > quantity(99.0, "cm")
-    with pytest.raises(DimensionError):
-        quantity(1.0, "m") < quantity(1.0, "eV")
-
-
 def test_dimension_exponents_are_exact():
     d = Dimension.of(length=Fraction(3, 2), mass=Fraction(1, 2), time=-1)
     assert (d * d).length == 3

@@ -303,6 +303,21 @@ def test_cli_estimate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--sample", "V80", "--fmax", "1000", "--points", "9"],
+    ["estimate", "--n", "256", "--records", "3", "--seed", "2"],
+    ["verify-wk"],
+    ["report", "--mode", "transverse"],
+], ids=lambda argv: argv[0])
+def test_cli_output_file_holds_the_printed_bytes(argv, capsys, tmp_path):
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed.encode()
+
+
 def test_cli_verify_wk(capsys):
     assert cli.main(["verify-wk"]) == 0
     out = capsys.readouterr().out
