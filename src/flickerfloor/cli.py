@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -172,6 +173,9 @@ def cmd_spectrum(args) -> int:
         u0.to("V")  # dimension check up front
     except (UnitsError, DimensionError) as err:
         raise ConfigError(f"--u0 {args.u0!r}: {err}") from err
+    for flag, value in (("--fmin", args.fmin), ("--fmax", args.fmax)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} {value}: must be finite")
     if args.fmin <= 0 or args.fmax <= args.fmin:
         raise ConfigError("need 0 < fmin < fmax")
     if args.points < 0:

@@ -13,20 +13,24 @@ Fourier transform, the difference construction
     Sigma(f) = int_{-tm}^{tm} S(tau) e^{iw tau} dtau
              - (1/tm) int_{-tm}^{tm} |tau| S(tau) e^{iw tau} dtau
 
-stays finite as tm grows; the quadrature here uses per-period Gauss-Legendre
-panels so that the log(tm)-sized oscillating pieces of the two terms cancel
-without losing the -pi/|w| residual.
+stays finite as tm grows.  Its quadrature takes Gauss-Legendre panels over
+the first few periods and Filon-Clenshaw-Curtis panels, doubling in length,
+beyond them, so its cost grows like log(f tm); both terms share every panel,
+so their log(tm)-sized oscillating pieces cancel without losing the -pi/|w|
+residual.
 
-No phase is taken from a large argument: the nodes of every whole-period
-panel sit at the same phases, so their cos/sin come from one table, and the
-estimator reuses one block's phase table, rotated by each block's start angle
-reduced to one cycle.
+No phase is taken from a large argument: the kernels' panel edges sit at
+whole periods, whose phases are small multiples of the exactly computed
+amount by which omega * period misses 2 pi, and the estimator reuses one
+block's phase table, rotated by each block's start angle reduced to one cycle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -195,15 +199,43 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
 # oscillatory panel quadrature
 # ---------------------------------------------------------------------------
 
-_NODES_PER_PANEL = 24  # one panel per oscillation period
-# panels per chunk; peak memory is O(_NODES_PER_PANEL * _PANELS_PER_CHUNK),
-# independent of f * t_m.  A chunk's arrays (48 KB each) stay in a core's L2
-# cache; 2048 panels ran Sigma(f) about 2.5 times slower on a 2-vCPU x86-64
-# Xeon with 2 MB of L2 per core.
-_PANELS_PER_CHUNK = 256
-# work budget: the most panels one quadrature may use, about f * t_m; it
-# bounds the run time of one call, as memory no longer grows with f * t_m
-_MAX_PANELS = 5_000_000
+_NODES_PER_PANEL = 24  # Gauss-Legendre nodes per period panel
+# the first _GAUSS_PERIODS periods get one Gauss panel each.  Each adds about
+# eps * max|g| * P of rounding, as its weighted phases do not sum to exactly 0:
+# 8 periods leave about 1e-13 of Sigma(f) at f t_m = 1e12, where 32 left 6e-13
+# and 512 left 1.2e-11.  A Chebyshev panel spans at least this many periods, so
+# omega h >= 8 pi and the moment series below is accurate to 6e-13 at degree 24
+# (at one period it loses every digit past degree 18)
+_GAUSS_PERIODS = 8
+# Chebyshev panels: degree, and the bound on the last two coefficients, relative
+# to the largest |g| seen so far in the row, under which a panel counts as
+# converged; 5.8^-24 = 4e-19 is the decay for tau ln tau on [a, 2a]
+_CHEB_DEGREE = 24
+_CHEB_TOL = 1e-14
+# Chebyshev panels evaluated together; a batch whose panels all fall back to
+# the Gauss rule holds about 1.5 MB
+_PANEL_BATCH = 64
+_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+
+
+@functools.cache
+def _panel_tables() -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; Chebyshev-Lobatto nodes
+    cos(pi j/m), the map from their values to the coefficients of the
+    interpolant sum a_n T_n, and the derivative maps T_n^(r)(1) and
+    T_n^(r)(-1) as arrays [r, n], r, n = 0..m.  Built on first use, so that
+    importing the module runs no linear algebra."""
+    m = _CHEB_DEGREE
+    j = np.arange(m + 1)
+    to_coeffs = (2.0 / m) * np.cos(np.pi * np.outer(j, j) / m)
+    to_coeffs[[0, m], :] *= 0.5
+    to_coeffs[:, [0, m]] *= 0.5
+    # T_n^(r)(1) = prod_{k<r} (n^2 - k^2) / (2k + 1), zero for r > n
+    steps = (j[None, :] ** 2 - j[:m, None] ** 2) / (2.0 * j[:m, None] + 1.0)
+    at_one = np.vstack([np.ones(m + 1), np.cumprod(steps, axis=0)])
+    at_minus_one = at_one * (-1.0) ** (j[:, None] + j[None, :])
+    return (*leggauss(_NODES_PER_PANEL), np.cos(np.pi * j / m), to_coeffs, at_one, at_minus_one)
+
 
 # Maclaurin coefficients of Si(x)/x in powers of x^2: (-1)^k / ((2k+1) (2k+1)!)
 _SI_COEFFS = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(8))
@@ -222,52 +254,94 @@ def _sine_integral(x: float) -> float:
     return x * acc
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m: float,
-                       head: Sequence[float] = (0.0,)) -> tuple[np.ndarray, np.ndarray]:
-    """int g(tau) cos(omega tau) dtau and int g(tau) sin(omega tau) dtau from
-    head[0] to t_m, for each row of g(tau) (shape (rows, tau.size)).
+                       head: Sequence[float] = (0.0,)) -> np.ndarray:
+    """int g(tau) e^{i omega tau} dtau from head[0] to t_m, for each row of
+    the real g(tau) (shape (rows, tau.size)).
 
-    Panels: the irregular head panels between the edges in `head` up to
-    min(period, t_m) (edges at or beyond it are ignored), one Gauss panel per
-    whole period [kP, (k+1)P], and the last partial panel.  The nodes of the
-    whole-period panels fall at the same phases every time, so their cos/sin
-    come from one _NODES_PER_PANEL-entry table; no phase is computed from a
-    large tau.  Raises SpectralError before allocating anything when the
-    panel count t_m/period exceeds the work budget _MAX_PANELS.
+    Panels, with P = 2 pi/|omega| and n = floor(t_m/P): Gauss-Legendre panels
+    between the `head` edges below min(P, t_m), over each period [kP, (k+1)P]
+    for k < _GAUSS_PERIODS, and over [nP, t_m]; in between, panels [mP, 2mP]
+    on which g is interpolated at Chebyshev points and the interpolant
+    p(x) = sum a_n T_n(x) is integrated against e^{i omega tau} exactly
+    (Filon-Clenshaw-Curtis: Iserles & Norsett 2005; Dominguez, Graham &
+    Smyshlyaev 2011), by parts, with h the half-width and kappa = omega h:
+
+        h sum_r -(i/kappa)^(r+1) [p^(r)(1) e^{i omega b} - p^(r)(-1) e^{i omega a}].
+
+    A panel whose last two coefficients have not decayed is halved, and below
+    2 _GAUSS_PERIODS periods gets the Gauss rule, so smooth g takes about
+    log2(f t_m) panels.  Edge kP has the small phase k drift, with
+    drift = omega P - 2 pi and t_m - nP found in exact arithmetic, so no phase
+    comes from a large argument.  A non-finite g ends with nan sums.
     """
-    period = 2.0 * math.pi / abs(omega)
-    needed = t_m / period
-    if not needed <= _MAX_PANELS:
-        raise SpectralError(
-            f"t_m={t_m:g} s at |omega|={abs(omega):g} rad/s needs {needed:.3g} "
-            f"quadrature panels; the limit is {_MAX_PANELS:,}")
-    n_periods = int(math.floor(needed))
-    nodes, weights = leggauss(_NODES_PER_PANEL)
+    w = abs(omega)
+    period = 2.0 * math.pi / w
+    if not math.isfinite(t_m / period):
+        raise SpectralError(f"omega*t_m overflows at omega={omega:g} rad/s, t_m={t_m:g} s")
+    n = math.floor(t_m / period)
+    drift = float(Fraction(w) * Fraction(period) - _TWO_PI)
+    gauss_nodes, gauss_weights, cheb_nodes, to_coeffs, at_one, at_minus_one = _panel_tables()
 
-    def phase_table(local, wts):  # (nodes, 2): weighted cos and sin
-        return np.stack([wts * np.cos(omega * local), wts * np.sin(omega * local)], axis=1)
+    local = 0.5 * period * (1.0 + gauss_nodes)
+    table = 0.5 * period * gauss_weights * np.exp(1j * w * local)
 
+    # products of real and complex factors are taken as real products: a
+    # complex BLAS product keeps about 0.25 MB more resident in the process
+    def periods(k):  # Gauss panels [kP, (k+1)P]: sums and max |g| per row
+        values = g((k[:, None] * period + local).ravel()).reshape(-1, k.size, _NODES_PER_PANEL)
+        sums = (values @ table.real + 1j * (values @ table.imag)) * np.exp(1j * drift * k)
+        return sums.sum(axis=1), np.abs(values).max(axis=(1, 2))
+
+    # irregular Gauss panels: the head below the first period, and [nP, t_m]
     first = min(period, t_m)
     edges = np.unique([e for e in head if e < first] + [first])
-    # irregular panels [lo, hi] at offset base; phases are taken from the
-    # in-panel coordinate, since omega * base is a multiple of 2 pi
-    lo, hi, base = edges[:-1], edges[1:], np.zeros(edges.size - 1)
-    last = t_m - n_periods * period
-    if n_periods >= 1 and last > 0.0:
-        lo, hi = np.append(lo, 0.0), np.append(hi, last)
-        base = np.append(base, n_periods * period)
+    k, lo, hi = np.zeros(edges.size - 1), edges[:-1], edges[1:]
+    last = float(Fraction(t_m) - n * Fraction(period))
+    if n >= 1 and last != 0.0:
+        k, lo, hi = np.append(k, float(n)), np.append(lo, 0.0), np.append(hi, last)
     half = 0.5 * (hi - lo)
-    local = ((0.5 * (hi + lo))[:, None] + half[:, None] * nodes).ravel()
-    wts = (half[:, None] * weights).ravel()
-    acc = g(np.repeat(base, _NODES_PER_PANEL) + local) @ phase_table(local, wts)  # (rows, 2)
-    # whole periods k = 1 .. n_periods - 1, a chunk of panels at a time
-    local = 0.5 * period * (1.0 + nodes)
-    table = phase_table(local, 0.5 * period * weights)
-    for start in range(1, n_periods, _PANELS_PER_CHUNK):
-        k = np.arange(start, min(start + _PANELS_PER_CHUNK, n_periods), dtype=float)
-        tau = (period * k[:, None] + local).ravel()
-        acc += (g(tau).reshape(-1, k.size, _NODES_PER_PANEL) @ table).sum(axis=1)
-    return acc[:, 0], acc[:, 1]
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * gauss_nodes
+    values = g((k[:, None] * period + nodes).ravel())
+    weights = half[:, None] * gauss_weights * np.exp(1j * (w * nodes + drift * k[:, None]))
+    weights = weights.ravel()
+    total, scale = values @ weights.real + 1j * (values @ weights.imag), np.abs(values).max(axis=1)
+    if n > 1:
+        sums, peak = periods(np.arange(1.0, min(n, _GAUSS_PERIODS)))
+        total, scale = total + sums, np.maximum(scale, peak)
+
+    stack, start = [], _GAUSS_PERIODS  # (first period, periods) of each doubling panel
+    while start < n:
+        stack.append((start, min(start, n - start)))
+        start *= 2
+    while stack:
+        start, count = np.array(stack[-_PANEL_BATCH:], dtype=float).T
+        del stack[-_PANEL_BATCH:]
+        h = 0.5 * count * period
+        values = g(((start * period + h)[:, None] + h[:, None] * cheb_nodes).ravel())
+        values = values.reshape(-1, start.size, _CHEB_DEGREE + 1)  # (rows, panels, nodes)
+        if not np.all(np.isfinite(values)):
+            return np.full_like(total, np.nan)
+        coeffs = values @ to_coeffs  # symmetric; a transposed operand adds BLAS buffers
+        scale = np.maximum(scale, np.abs(values).max(axis=(1, 2)))
+        tail = np.abs(coeffs[:, :, -2:]).max(axis=2)
+        done = (count >= _GAUSS_PERIODS) & np.all(tail <= _CHEB_TOL * scale[:, None], axis=0)
+        q = (1j / (w * h[done]))[:, None] ** np.arange(1, _CHEB_DEGREE + 2)  # (panels, r)
+        plus, minus = (q.real @ a + 1j * (q.imag @ a) for a in (at_one, at_minus_one))
+        ends = (np.exp(1j * drift * (start + count))[done, None] * plus
+                - np.exp(1j * drift * start)[done, None] * minus)
+        total -= np.einsum("rpn,pn,p->r", coeffs[:, done], ends, h[done])
+        split = ~done & (count >= 2 * _GAUSS_PERIODS)
+        for begin, span in zip(start[split], count[split]):
+            stack += [(begin, span // 2), (begin + span // 2, span - span // 2)]
+        rest = ~done & ~split
+        if rest.any():
+            k = np.concatenate([np.arange(begin, begin + span)
+                                for begin, span in zip(start[rest], count[rest])])
+            sums, peak = periods(k)
+            total, scale = total + sums, np.maximum(scale, peak)
+    return total if omega > 0 else total.conj()
 
 
 def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
@@ -295,12 +369,15 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
 
     def integrand(tau):
         sp, sm = cov.evaluate(tau), cov.evaluate(-tau)
-        even, odd = sp + sm, sp - sm
-        return np.stack([even, odd, tau * even, tau * odd])
+        return np.stack([sp, sm, tau * sp, tau * sm])
 
-    # sp e^{iw tau} + sm e^{-iw tau} = (sp + sm) cos(w tau) + i (sp - sm) sin(w tau)
-    c, s = _fourier_integrals(integrand, omega, t_m, head)
-    result = complex(c[0], s[1]) - complex(c[2], s[3]) / t_m
+    # int_{-tm}^{tm} S(tau) e^{iw tau} dtau = int_0^tm S(tau) e^{iw tau} + conj(S(-tau) e^{iw tau})
+    z = _fourier_integrals(integrand, omega, t_m, head)
+    result = complex(z[0] + z[1].conjugate()) - complex(z[2] + z[3].conjugate()) / t_m
+    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
+        raise SpectralError(
+            f"Sigma(f) is not finite at f={f:g} Hz, t_m={t_m:g} s: the covariance "
+            "is not finite, or overflows, on [-t_m, t_m]")
     if abs(result.imag) >= 1e-9 * max(abs(result.real), 1e-300):
         raise SpectralError(
             f"imaginary part {result.imag:g} not negligible against {result.real:g}; "
@@ -330,9 +407,12 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
         log_tau = np.log(tau)
         return np.stack([np.where(tau > b, log_tau, 0.0), tau * log_tau])
 
-    c, _ = _fourier_integrals(integrand, w, t_m, [0.0, *(b * np.logspace(-8, 0, 9))])
-    lhs1 = 2.0 * (head + float(c[0]))
-    lhs2 = 2.0 * float(c[1]) / t_m
+    z = _fourier_integrals(integrand, w, t_m, [0.0, *(b * np.logspace(-8, 0, 9))])
+    lhs1 = 2.0 * (head + float(z[0].real))
+    lhs2 = 2.0 * float(z[1].real) / t_m
+    if not (math.isfinite(lhs1) and math.isfinite(lhs2)):
+        raise SpectralError(
+            f"the log-kernel integrals overflow at omega={omega:g} rad/s, t_m={t_m:g} s")
     return WkIdentityResult(lhs1=lhs1, lhs2=lhs2, difference=lhs1 - lhs2,
                             target=-math.pi / w)
 
@@ -345,8 +425,8 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
     if not (math.isfinite(omega) and omega != 0 and math.isfinite(t_m) and t_m > 0):
         raise SpectralError(
             f"need a finite omega != 0 and a finite t_m > 0, got omega={omega}, t_m={t_m}")
-    _, s = _fourier_integrals(lambda tau: np.ones((1, tau.size)), omega, t_m)
-    return 2j * float(s[0])
+    z = _fourier_integrals(lambda tau: np.ones((1, tau.size)), omega, t_m)
+    return 2j * float(z[0].imag)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +445,9 @@ def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int,
         raise SpectralError(f"gamma must be in [0, 2], got {gamma}")
     if n < 2 or n & (n - 1):
         raise SpectralError(f"n must be a power of two >= 2, got {n}")
-    if not (dt > 0 and variance > 0):
-        raise SpectralError("dt and variance must be positive")
+    for name, value in (("dt", dt), ("variance", variance)):
+        if not (math.isfinite(value) and value > 0):
+            raise SpectralError(f"{name} must be finite and positive, got {value}")
     rng = np.random.default_rng(seed)
     freqs = np.fft.rfftfreq(n, d=dt)
     amp = np.zeros(n // 2 + 1)

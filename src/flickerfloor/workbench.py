@@ -296,14 +296,13 @@ def _verify_row(case: str, computed: float, target: float, tol: float) -> dict:
 
 def run_verification_suite() -> Report:
     """Standing checks of the generalized Wiener-Khinchin identities."""
-    rows = []
+    wk = {t_m: spectral.wk_identity_check(omega=1.0, t_m=t_m) for t_m in (1e3, 1e4, 1e5)}
     # log-kernel identity difference -> -pi/|omega|
-    res = spectral.wk_identity_check(omega=1.0, t_m=1e4)
-    rows.append(_verify_row("wk_identity(omega=1, t_m=1e4)", res.difference, res.target, 0.01))
+    res = wk[1e4]
+    rows = [_verify_row("wk_identity(omega=1, t_m=1e4)", res.difference, res.target, 0.01)]
     # convergence trend over t_m
     errors = []
-    for t_m in (1e3, 1e4, 1e5):
-        r = spectral.wk_identity_check(omega=1.0, t_m=t_m)
+    for t_m, r in wk.items():
         errors.append(abs(r.difference - r.target))
         rows.append(_verify_row(f"wk_identity(omega=1, t_m={t_m:g})", r.difference, r.target, 0.05))
     rows.append({"case": "wk_identity error decreases with t_m",

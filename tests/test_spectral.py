@@ -1,8 +1,9 @@
 """Finite-measurement-time spectral estimation and its integral identities."""
 
 import math
-import re
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,9 +162,10 @@ def test_sigma_constant_covariance_vanishes():
         assert abs(sigma_spectrum(cov, f=f, t_m=t_m)) < bound
 
 
-@pytest.mark.parametrize("ft", [1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("ft", [1e3, 1e4, 1e5, 1e6, 1e9, 1e12])
 def test_sigma_log_law_remainder_at_long_times(ft):
-    # the finite-time remainder is O(1/(f t_m)); phase roundoff in omega*tau
+    # the finite-time remainder is O(1/(f t_m)), about 3.1/(f t_m) at 1e12, so
+    # 1.9e-12 is left for quadrature error there; phase roundoff in omega*tau
     # once left a 3.8e-4 error at f t_m = 1e6
     cov = CovarianceModel(kind="log-law", tau0=1.0, a_cov=1.0)
     f = 0.01
@@ -196,6 +198,19 @@ def test_covariance_model_validation():
         CovarianceModel(kind="log-law", tau0=1.0, a_cov=0.0)
     with pytest.raises(SpectralError):
         CovarianceModel(kind="nonsense", tau0=1.0)
+
+
+def bumped_exponential(tau):
+    # exp(-|tau|) with a one-period-wide bump at |tau| = 300 periods (f = 1),
+    # well inside the first Chebyshev panels, which must split to resolve it
+    a = np.abs(tau)
+    return np.exp(-a) + 100.0 * np.exp(-0.5 * (a - 300.0) ** 2)
+
+
+def test_sigma_resolves_structure_past_the_gauss_periods():
+    # reference: one Gauss panel per period over all 1e4 periods
+    cov = CovarianceModel(kind="user-function", func=bumped_exponential)
+    assert sigma_spectrum(cov, f=1.0, t_m=1e4) == pytest.approx(0.04941504379804959, rel=1e-10)
 
 
 def test_user_function_covariance():
@@ -241,6 +256,24 @@ def test_wk_identity_error_decays_as_inverse_time():
     assert 0.3 <= np.mean(ratios) <= 0.7
 
 
+# lhs1 - lhs2 at omega = 1 from the closed forms
+#   lhs1 = 2 (sin T ln T - Si(T))
+#   lhs2 = (2/T) (T ln T sin T + (ln T + 1) cos T - Ci(T) + gamma - 1),
+# evaluated with 50-digit mpmath at the double T and rounded to double
+WK_DIFFERENCE = {
+    1e3: -3.148513334854977,
+    1e4: -3.1397541739359016,
+    1e5: -3.1413540865590126,
+    2.0 * math.pi * 1e12: -3.141592653599039,
+}
+
+
+@pytest.mark.parametrize("t_m", [1e3, 1e4, 1e5])
+def test_wk_identity_against_closed_form(t_m):
+    # one Gauss panel per period once left 2.1e-10 relative at t_m = 1e5
+    assert wk_identity_check(1.0, t_m).difference == pytest.approx(WK_DIFFERENCE[t_m], rel=1e-12)
+
+
 @pytest.mark.parametrize("x, si", [
     # Si(x) from a 60-digit mpmath evaluation, rounded to double
     (1e-3, 0.0009999999444444462),
@@ -258,9 +291,26 @@ def test_sign_function_transform_closed_form():
     assert abs(result - target) <= 1e-10 * abs(target)
 
 
-@pytest.mark.parametrize("omega, t_m", [(1.3, 1e5), (1.3, 1e6), (-1.3, 1e5)])
+# 2 pi to 40 digits: a phase reduced with it is exact to 1e-40 * omega * t_m
+TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+
+
+def sign_transform_target(omega, t_m):
+    """2i (1 - cos(omega t_m)) / omega, with omega*t_m reduced mod 2 pi exactly.
+
+    In double precision omega*t_m carries an error of eps*omega*t_m, 1e-6 rad
+    at f t_m = 1e9, which moves the closed form by far more than 1e-9.
+    """
+    x = Fraction(abs(omega)) * Fraction(t_m)
+    phase = float(x - TWO_PI * math.floor(x / TWO_PI))
+    return 4j * math.sin(0.5 * phase) ** 2 / omega
+
+
+@pytest.mark.parametrize("omega, t_m", [(1.3, 1e5), (1.3, 1e6), (-1.3, 1e5),
+                                        (1.3, 5e9), (1.3, 5e12), (-1.3, 5e12)])
 def test_sign_function_transform_at_long_times(omega, t_m):
-    target = 2j * (1.0 - math.cos(omega * t_m)) / omega
+    # f t_m up to 1.03e12
+    target = sign_transform_target(omega, t_m)
     assert abs(sign_function_transform(omega, t_m) - target) <= 1e-9 * abs(target)
 
 
@@ -288,30 +338,47 @@ def test_kernels_reject_non_finite_t_m(kernel, value):
     assert "quadrature panels" not in str(err.value)
 
 
+def not_finite_user_function(tau):
+    return np.where(np.abs(tau) > 50.0, np.nan, np.exp(-np.abs(tau)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel, args, names", [
+    (sigma_spectrum, (CovarianceModel(kind="user-function", func=not_finite_user_function),
+                      1.0, 200.0), ["f=1 Hz", "t_m=200 s"]),
+    (sigma_spectrum, (CovarianceModel(kind="log-law", tau0=1e-160), 1.0, 200.0),
+     ["f=1 Hz", "t_m=200 s"]),
+    (sigma_spectrum, (CovarianceModel(kind="log-law"), 0.01, 1e200),
+     ["f=0.01 Hz", "t_m=1e+200 s"]),
+    (wk_identity_check, (1.0, 1e307), ["omega=1 rad/s", "t_m=1e+307 s"]),
+    (sign_function_transform, (1e300, 1e300), ["omega=1e+300 rad/s", "t_m=1e+300 s"]),
+], ids=["nan-user-function", "log-law-tau0-1e-160", "log-law-huge-t_m", "wk-huge-t_m",
+        "sign-omega-t_m-overflow"])
+def test_kernels_reject_non_finite_results(kernel, args, names):
+    # these once returned nan, with overflow warnings for the log-law
+    with pytest.raises(SpectralError) as err:
+        kernel(*args)
+    for name in names:
+        assert name in str(err.value)
+
+
 # ---------------------------------------------------------------------------
-# chunked kernels and the work budget
+# estimator blocks, and kernel cost at large f * t_m
 # ---------------------------------------------------------------------------
 
-def spectral_kernel_values():
-    loglaw = CovarianceModel(kind="log-law", tau0=1.0, a_cov=1.0)
-    expcov = CovarianceModel(kind="exponential", tau0=2.0)
-    wk = wk_identity_check(1.0, 1e3)
-    sk = sign_function_transform(1.3, 1e3)
+def estimate_values():
     rng = np.random.default_rng(3)
     recs = [SignalRecord(samples=rng.normal(size=1024), dt=0.5) for _ in range(3)]
     psd = power_spectrum_estimate(recs, np.linspace(0.01, 0.9, 9))
-    return np.concatenate([
-        [sigma_spectrum(loglaw, f=0.01, t_m=1e4), sigma_spectrum(expcov, f=0.05, t_m=2e3),
-         wk.lhs1, wk.lhs2, sk.imag], psd.value, psd.stderr])
+    return np.concatenate([psd.value, psd.stderr])
 
 
-@pytest.mark.parametrize("panels, samples", [(7, 100), (10 ** 9, 10 ** 9)])
-def test_chunk_size_does_not_change_results(monkeypatch, panels, samples):
-    # 7 panels and 100 samples leave ragged last chunks; 10**9 takes all at once
-    reference = spectral_kernel_values()
-    monkeypatch.setattr(spectral, "_PANELS_PER_CHUNK", panels)
+@pytest.mark.parametrize("samples", [100, 10 ** 9])
+def test_block_size_does_not_change_estimate(monkeypatch, samples):
+    # 100 samples leave a ragged last block; 10**9 takes the record at once
+    reference = estimate_values()
     monkeypatch.setattr(spectral, "_SAMPLES_PER_BLOCK", samples)
-    np.testing.assert_allclose(spectral_kernel_values(), reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(estimate_values(), reference, rtol=1e-12, atol=0.0)
 
 
 def traced_peak_mb(fn, *args):
@@ -331,18 +398,24 @@ def test_sigma_peak_memory_is_bounded(ft, limit_mb):
     assert traced_peak_mb(sigma_spectrum, cov, 0.01, ft / 0.01) < limit_mb
 
 
-@pytest.mark.parametrize("kernel, args", [
-    (sigma_spectrum, (CovarianceModel(kind="log-law"), 1.0, 1e12)),
-    (wk_identity_check, (2.0 * math.pi, 1e12)),
-    (sign_function_transform, (2.0 * math.pi, 1e12)),
-])
-def test_work_budget_rejects_before_allocating(kernel, args):
-    message = f"1e+12 quadrature panels; the limit is {spectral._MAX_PANELS:,}"
-
-    def rejected():
-        with pytest.raises(SpectralError, match=re.escape(message)):
-            kernel(*args)
-    assert traced_peak_mb(rejected) < 0.1
+@pytest.mark.parametrize("kernel, args, value, target, rel", [
+    # Sigma(f) against its t_m -> infinity value: the remainder is about 3.1e-12
+    (sigma_spectrum, (CovarianceModel(kind="log-law"), 0.01, 1e14), lambda v: v,
+     -math.exp(-0.02 * math.pi) / 0.01, 5e-12),
+    (wk_identity_check, (1.0, 2.0 * math.pi * 1e12), lambda r: r.difference,
+     WK_DIFFERENCE[2.0 * math.pi * 1e12], 1e-12),
+    (sign_function_transform, (2.0 * math.pi, 1e12 + 0.25), lambda v: v,
+     sign_transform_target(2.0 * math.pi, 1e12 + 0.25), 1e-9),
+], ids=["sigma_spectrum", "wk_identity_check", "sign_function_transform"])
+def test_kernels_at_f_t_m_1e12(kernel, args, value, target, rel):
+    # f*t_m = 1e12 was rejected by a 5e6-panel work budget: one Gauss panel per
+    # period would take about a week (0.65 s per 1e6 periods on a 2-vCPU x86-64)
+    start = time.perf_counter()
+    result = kernel(*args)
+    elapsed = time.perf_counter() - start
+    assert abs(value(result) - target) <= rel * abs(target)
+    assert elapsed < 1.0
+    assert traced_peak_mb(kernel, *args) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +442,17 @@ def test_synthesis_validation():
         synthesize_power_law_noise(2.5, 1024, 1.0, seed=0)
     with pytest.raises(SpectralError):
         synthesize_power_law_noise(1.0, 1000, 1.0, seed=0)  # not a power of two
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, variance, name", [
+    (math.inf, 1.0, "dt"), (math.nan, 1.0, "dt"),
+    (1.0, math.inf, "variance"), (1.0, math.nan, "variance"),
+])
+def test_synthesis_rejects_non_finite_inputs_by_name(dt, variance, name):
+    # dt=inf once ended in "signal samples must be finite" after an irfft warning
+    with pytest.raises(SpectralError, match=f"^{name} must be finite"):
+        synthesize_power_law_noise(1.0, 1024, dt, seed=0, variance=variance)
 
 
 def fitted_slope(gamma, n_seeds=100, n=2048, dt=1.0):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flickerfloor
-from flickerfloor import cli
+from flickerfloor import cli, spectral
 from flickerfloor.noise_floor import build_model
 from flickerfloor.workbench import (
     ConfigError,
@@ -228,6 +228,16 @@ def test_verification_suite_passes():
     assert report.rows and not report.failures
 
 
+def test_verification_suite_computes_each_wk_case_once(monkeypatch):
+    # t_m = 1e4 was once computed twice, for the first row and the trend rows
+    calls = []
+    real = spectral.wk_identity_check
+    monkeypatch.setattr(spectral, "wk_identity_check",
+                        lambda omega, t_m: calls.append(t_m) or real(omega, t_m))
+    run_verification_suite()
+    assert sorted(calls) == [1e3, 1e4, 1e5]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -348,6 +358,23 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     binary.write_bytes(b"\xff\xfe\x00[sample:\x9c]\n")
     assert cli.main(["report", "--config", str(binary)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--sample", "V1", "--fmin", "nan"], "--fmin nan"),
+    (["spectrum", "--sample", "V1", "--fmax", "inf"], "--fmax inf"),
+    (["spectrum", "--sample", "V1", "--fmin=-inf"], "--fmin -inf"),
+    (["estimate", "--dt", "inf"], "dt must be finite"),
+    (["estimate", "--dt", "nan"], "dt must be finite"),
+])
+def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
+    # these once ended in "spectrum values must be finite" or "signal samples
+    # must be finite", inf after a numpy RuntimeWarning (an error here)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_internal_value_error_propagates(monkeypatch):
