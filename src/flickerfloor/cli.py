@@ -2,6 +2,8 @@
 
 Subcommands: factor, kappa, delta, spectrum, estimate, verify-wk, report.
 Exit codes: 0 success, 1 input error, 2 verification failure.
+numpy is imported only for array work: by spectrum, estimate and verify-wk,
+which also import the spectral layer, and by factor --method quadrature.
 """
 
 from __future__ import annotations
@@ -10,9 +12,7 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import geometry, noise_floor, spectral, workbench
+from . import geometry, noise_floor, workbench
 from .units import DimensionError, UnitsError, parse_quantity, quantity
 from .workbench import ConfigError
 
@@ -180,6 +180,10 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("need 0 < fmin < fmax")
     if args.points < 0:
         raise ConfigError(f"--points {args.points}: must be >= 0")
+    import numpy as np
+
+    from . import spectral
+
     f = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
     series = noise_floor.evaluate_spectrum(model, u0, f)
     _emit(spectral.spectrum_csv_text(series), args.output)
@@ -187,6 +191,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    import numpy as np
+
+    from . import spectral
+
     records = [spectral.synthesize_power_law_noise(args.gamma, args.n, args.dt,
                                                    seed=args.seed + i)
                for i in range(args.records)]
@@ -227,8 +235,13 @@ _COMMANDS = {
 }
 
 _INPUT_ERRORS = (ConfigError, UnitsError, DimensionError,
-                 geometry.GeometryError, noise_floor.NoiseFloorError,
-                 spectral.SpectralError, OSError)
+                 geometry.GeometryError, noise_floor.NoiseFloorError, OSError)
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    # a SpectralError can only come from a loaded spectral layer
+    spectral = sys.modules.get(f"{__package__}.spectral")
+    return _INPUT_ERRORS + (spectral.SpectralError,) if spectral else _INPUT_ERRORS
 
 
 def main(argv=None) -> int:
@@ -236,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _INPUT_ERRORS as err:
+    except _input_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.polynomial.legendre import leggauss
+from typing import TYPE_CHECKING, Optional
 
 from .units import Quantity, quantity
+
+if TYPE_CHECKING:
+    import numpy as np
+
+Point = tuple[float, float, float]
 
 
 class GeometryError(ValueError):
@@ -43,32 +46,44 @@ class SampleGeometry:
                 raise GeometryError(f"sample dimension {name} must be positive, got {v}")
 
     @property
-    def dims(self) -> np.ndarray:
-        return np.array([self.l, self.w, self.a])
+    def dims(self) -> Point:
+        return (self.l, self.w, self.a)
 
     @property
     def volume(self) -> float:
         return self.l * self.w * self.a
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= 0.0) and np.all(x <= self.dims))
+        p = _point(x)
+        return p is not None and all(0.0 <= c <= d for c, d in zip(p, self.dims))
+
+
+def _point(x) -> Optional[Point]:
+    """x as a tuple of 3 floats, or None unless it is a finite 3-vector.
+
+    Takes any sequence of numbers, a numpy array of rank 1 among them.
+    """
+    if getattr(x, "ndim", 1) != 1:
+        return None
+    try:
+        p = tuple(float(c) for c in x)
+    except (TypeError, ValueError):
+        return None
+    return p if len(p) == 3 and all(map(math.isfinite, p)) else None
 
 
 @dataclass(frozen=True)
 class ProbePair:
     """Positions of the two voltage probes, in cm, inside the closed cuboid."""
 
-    x1: tuple[float, float, float]
-    x2: tuple[float, float, float]
+    x1: Point
+    x2: Point
 
     def __post_init__(self):
-        a1, a2 = np.asarray(self.x1, float), np.asarray(self.x2, float)
-        if a1.shape != (3,) or a2.shape != (3,):
-            raise GeometryError("probe positions must be 3-vectors")
-        if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
-            raise GeometryError("probe positions must be finite")
-        if np.array_equal(a1, a2):
+        p1, p2 = _point(self.x1), _point(self.x2)
+        if p1 is None or p2 is None:
+            raise GeometryError("probe positions must be finite 3-vectors")
+        if p1 == p2:
             raise GeometryError("the two probes must not coincide")
 
     def validate_on(self, geom: SampleGeometry) -> None:
@@ -118,7 +133,7 @@ def _corner_primitive(x: float, y: float, z: float) -> float:
     return out
 
 
-def _corner_box_integral(u: np.ndarray, v: np.ndarray) -> float:
+def _corner_box_integral(u: Point, v: Point) -> float:
     # integral of 1/|r| over [u1,v1]x[u2,v2]x[u3,v3], 0 <= u <= v componentwise
     total = 0.0
     for i in (0, 1):
@@ -142,17 +157,15 @@ def _axis_segments(extent: float, xi: float) -> list[tuple[float, float]]:
     return [(lo, hi)]
 
 
-def _closed_form_box_integral(dims: np.ndarray, x: np.ndarray) -> float:
+def _closed_form_box_integral(dims: Point, x: Point) -> float:
     segs = [_axis_segments(dims[i], x[i]) for i in range(3)]
     total = 0.0
     for sx in segs[0]:
         for sy in segs[1]:
             for sz in segs[2]:
-                u = np.array([sx[0], sy[0], sz[0]])
-                v = np.array([sx[1], sy[1], sz[1]])
-                if np.any(v - u <= 0.0):
+                if sx[1] - sx[0] <= 0.0 or sy[1] - sy[0] <= 0.0 or sz[1] - sz[0] <= 0.0:
                     continue
-                total += _corner_box_integral(u, v)
+                total += _corner_box_integral((sx[0], sy[0], sz[0]), (sx[1], sy[1], sz[1]))
     return total
 
 
@@ -168,6 +181,8 @@ _SIZE_FLOOR = 3e-4  # singular-cell size floor, relative to the box diagonal
 def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
                  nodes: np.ndarray, weights: np.ndarray) -> float:
     # tensor-product Gauss-Legendre over a batch of admissible cells, summed
+    import numpy as np
+
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
     gx = centers[:, None, 0] + halves[:, None, 0] * nodes
@@ -182,13 +197,17 @@ def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
     return float(np.sum(vals))
 
 
-def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> float:
+def _quadrature_box_integral(dims: Point, x: Point) -> float:
     """Octree quadrature of the box Coulomb integral.
 
     Cells well separated from the singular point get a tensor Gauss rule;
     cells containing or touching it are subdivided down to a size floor and
     the residual singular cells are evaluated with the exact corner primitive.
     """
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss
+
+    dims, x = np.array(dims), np.array(x)
     nodes, weights = leggauss(_GAUSS_ORDER)
     floor_h = _SIZE_FLOOR * float(np.linalg.norm(dims))
     total = 0.0
@@ -208,7 +227,7 @@ def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> float:
             total += _gauss_cells(los[idx], his[idx], x, nodes, weights)
         sing = np.flatnonzero(~far & tiny)
         for i in sing:
-            total += _closed_form_box_integral(his[i] - los[i], x - los[i])
+            total += _closed_form_box_integral((his[i] - los[i]).tolist(), (x - los[i]).tolist())
         split = np.flatnonzero(~far & ~tiny)
         if len(split) == 0:
             break
@@ -224,7 +243,7 @@ def _quadrature_box_integral(dims: np.ndarray, x: np.ndarray) -> float:
     return total
 
 
-def _box_integral(dims: np.ndarray, x: np.ndarray, method: str) -> float:
+def _box_integral(dims: Point, x: Point, method: str) -> float:
     # the one place where the method picks the rule
     if method == "closed_form":
         return _closed_form_box_integral(dims, x)
@@ -244,16 +263,16 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
     box or on its surface.  method is "closed_form" (exact) or "quadrature"
     (adaptive octree, cross-check path).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,) or not np.all(np.isfinite(x)):
+    p = _point(x)
+    if p is None:
         raise GeometryError(f"evaluation point must be a finite 3-vector, got {x!r}")
-    return quantity(_box_integral(geom.dims, x, method), "cm^2")
+    return quantity(_box_integral(geom.dims, p, method), "cm^2")
 
 
 def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> float:
     probes.validate_on(geom)
-    return (_box_integral(geom.dims, np.asarray(probes.x1, float), method)
-            + _box_integral(geom.dims, np.asarray(probes.x2, float), method))
+    return (_box_integral(geom.dims, _point(probes.x1), method)
+            + _box_integral(geom.dims, _point(probes.x2), method))
 
 
 def geometric_factor(geom: SampleGeometry, probes: ProbePair,

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import (GeometricFactor, ProbePair, SampleGeometry,
                        geometric_factor, geometric_factor_transverse)
-from .spectral import SpectrumSeries
 from .units import CODATA2018, DIMENSIONLESS, Quantity, quantity
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .spectral import SpectrumSeries
 
 
 class NoiseFloorError(ValueError):
@@ -84,6 +86,8 @@ class ValidityBound:
 
     def excess_factor(self, f_hz) -> np.ndarray:
         """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax."""
+        import numpy as np
+
         omega = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
         return (omega * self.hbar_d_omega) ** 2
 
@@ -208,6 +212,10 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
     Values are in V^2/Hz (times Hz^delta when gamma > 1).  Points beyond the
     validity limit are flagged and annotated with the excess factor.
     """
+    import numpy as np
+
+    from .spectral import SpectrumSeries
+
     f = np.asarray(f_grid, dtype=float)
     if np.any(f == 0.0):
         raise NoiseFloorError("the floor spectrum diverges at f = 0")

@@ -124,7 +124,17 @@ class CovarianceModel:
     def evaluate(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         if self.kind == "log-law":
-            return self.amplitude * np.log(self.a_cov + (tau / self.tau0) ** 2)
+            # past r = |tau|/tau0 = 1e150 (r^2 overflows at 1.3e154, and r
+            # itself once tau0 is tiny) as 2 (ln|tau| - ln tau0) + ln(1 + a/r^2)
+            t = np.abs(tau)
+            far = t > 1e150 * self.tau0
+            near = np.log(self.a_cov + (np.where(far, 0.0, t) / self.tau0) ** 2)
+            if not far.any():
+                return self.amplitude * near
+            t = np.where(far, t, self.tau0)
+            log_far = (2.0 * (np.log(t) - math.log(self.tau0))
+                       + np.log1p(self.a_cov * (self.tau0 / t) ** 2))
+            return self.amplitude * np.where(far, log_far, near)
         if self.kind == "exponential":
             return self.amplitude * np.exp(-np.abs(tau) / self.tau0)
         if self.kind == "constant":
@@ -372,8 +382,10 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
         return np.stack([sp, sm, tau * sp, tau * sm])
 
     # int_{-tm}^{tm} S(tau) e^{iw tau} dtau = int_0^tm S(tau) e^{iw tau} + conj(S(-tau) e^{iw tau})
-    z = _fourier_integrals(integrand, omega, t_m, head)
-    result = complex(z[0] + z[1].conjugate()) - complex(z[2] + z[3].conjugate()) / t_m
+    # combined as Python complex numbers, which turn an overflow into nan
+    # without a warning, so that it reaches the check below
+    zp, zm, tzp, tzm = map(complex, _fourier_integrals(integrand, omega, t_m, head))
+    result = zp + zm.conjugate() - (tzp + tzm.conjugate()) / t_m
     if not (math.isfinite(result.real) and math.isfinite(result.imag)):
         raise SpectralError(
             f"Sigma(f) is not finite at f={f:g} Hz, t_m={t_m:g} s: the covariance "

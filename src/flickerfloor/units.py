@@ -9,6 +9,7 @@ boundary only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -213,7 +214,10 @@ def quantity(value: float, unit: str = "") -> Quantity:
 
 
 def parse_quantity(text: str) -> Quantity:
-    """Parse strings like '1.4e9 V/m' or '10 nm' or '0.06' (dimensionless)."""
+    """Parse strings like '1.4e9 V/m' or '10 nm' or '0.06' (dimensionless).
+
+    The value, and its magnitude in CGS base units, must be finite.
+    """
     parts = text.strip().split(None, 1)
     if not parts:
         raise UnitsError("empty quantity string")
@@ -221,7 +225,15 @@ def parse_quantity(text: str) -> Quantity:
         value = float(parts[0])
     except ValueError as err:
         raise UnitsError(f"bad numeric value in '{text}'") from err
-    return quantity(value, parts[1] if len(parts) > 1 else "")
+    if not math.isfinite(value):
+        raise UnitsError(f"non-finite value in '{text}'")
+    try:
+        q = quantity(value, parts[1] if len(parts) > 1 else "")
+    except OverflowError as err:
+        raise UnitsError(f"unit power out of floating-point range in '{text}'") from err
+    if not math.isfinite(q.value):
+        raise UnitsError(f"'{text}' overflows in CGS base units")
+    return q
 
 
 @dataclass(frozen=True)

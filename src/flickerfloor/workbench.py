@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from . import geometry, noise_floor, spectral
+from . import geometry, noise_floor
 from .geometry import ProbePair, SampleGeometry
 from .noise_floor import CarrierSpecies, Material
 from .units import DimensionError, Quantity, UnitsError, parse_quantity, quantity
@@ -296,6 +296,8 @@ def _verify_row(case: str, computed: float, target: float, tol: float) -> dict:
 
 def run_verification_suite() -> Report:
     """Standing checks of the generalized Wiener-Khinchin identities."""
+    from . import spectral
+
     wk = {t_m: spectral.wk_identity_check(omega=1.0, t_m=t_m) for t_m in (1e3, 1e4, 1e5)}
     # log-kernel identity difference -> -pi/|omega|
     res = wk[1e4]

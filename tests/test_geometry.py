@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from flickerfloor.workbench import bundled_config_text, load_catalog
 from flickerfloor.geometry import (
     GeometryError,
     ProbePair,
@@ -35,6 +36,31 @@ TABLE_G = {  # published reference values, cm^-1
     "V5": ((20e-4, 5e-4, 2e-6), 1260.0, 80.0),
     "V80": ((300e-4, 80e-4, 2e-6), 80.0, 6.0),
 }
+
+
+# closed-form results frozen as printed by repr; the closed form's arithmetic
+# is fixed, so they must be reproduced exactly, not to a tolerance
+CLOSED_FORM_G = {  # (catalog, sample): (longitudinal, transverse g), cm^-1
+    ("ingaas", "V1"): (9609.606705535512, 2308.5341354353504),
+    ("ingaas", "V1.5"): (6411.674164556851, 1540.112888495618),
+    ("ingaas", "V2"): (5134.426162540443, 1467.320959806447),
+    ("ingaas", "V5"): (1256.915783619522, 100.18704476365954),
+    ("ingaas", "V80"): (82.42954353424345, 7.408179307011526),
+    ("ybco", "bulk-B"): (7.890849846868367, 7.890849846868367),
+    ("ybco", "film"): (5.80362631225493, 0.1553619718211278),
+    ("gaas_piezo", "bar"): (1256.915783619522, 100.18704476365954),
+}
+CLOSED_FORM_POINTS = [  # points of the box (1, 0.7, 0.4) and the integral, cm^2
+    ((0.3, 0.2, 0.1), 0.8469212525228589),      # interior
+    ((0.5, 0.35, 0.2), 0.953396798964545),      # center
+    ((0.0, 0.35, 0.2), 0.6608309885160616),     # face
+    ((0.5, 0.7, 0.1), 0.6923427865462597),      # face
+    ((1.0, 0.0, 0.25), 0.5230231638203),        # edge
+    ((0.0, 0.0, 0.0), 0.47669839948227277),     # corner
+    ((1.0, 0.7, 0.4), 0.47669839948227277),     # opposite corner
+    ((1.5, -0.2, 0.3), 0.2525811345718919),     # exterior
+    ((20.0, 15.0, -10.0), 0.01059155447910598),  # exterior, 25 diagonals out
+]
 
 
 def face_integral_oracle(dims, x, epsabs=1e-11):
@@ -90,6 +116,31 @@ def test_closed_form_against_face_oracle(point):
     dims = (1.0, 0.7, 0.4)
     oracle = face_integral_oracle(dims, point)
     assert box_integral(dims, point) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("point, frozen", CLOSED_FORM_POINTS)
+def test_closed_form_frozen_points(point, frozen):
+    assert box_integral((1.0, 0.7, 0.4), point) == frozen
+
+
+@pytest.mark.parametrize("point", [
+    [0.3, 0.2, 0.1], (0.3, 0.2, 0.1), np.array([0.3, 0.2, 0.1]), (0.3, 0.2, np.float64(0.1)),
+])
+def test_point_accepted_as_list_tuple_or_array(point):
+    geom = SampleGeometry(l=1.0, w=0.7, a=0.4)
+    assert coulomb_box_integral(geom, point).to("cm^2") == CLOSED_FORM_POINTS[0][1]
+
+
+@pytest.mark.parametrize("point", [
+    (0.3, 0.2), (0.3, 0.2, 0.1, 0.0), np.zeros((3, 1)), np.zeros((1, 3)), np.float64(0.3),
+    [[0.3], [0.2], [0.1]], (0.3, math.nan, 0.1), [0.3, 0.2, -math.inf], None,
+])
+def test_point_of_wrong_shape_or_not_finite_rejected(point):
+    geom = SampleGeometry(l=1.0, w=0.7, a=0.4)
+    with pytest.raises(GeometryError, match="finite 3-vector"):
+        coulomb_box_integral(geom, point)
+    with pytest.raises(GeometryError, match="probe positions must be"):
+        ProbePair(x1=(0.0, 0.2, 0.1), x2=point)
 
 
 def test_cube_corner_is_half_of_center():
@@ -164,6 +215,27 @@ def test_probe_pair_validation():
     with pytest.raises(GeometryError):
         ProbePair(x1=p, x2=np.array([5.0, 0.5, 0.25])).validate_on(geom)
     ProbePair(x1=p, x2=np.array([2.0, 0.5, 0.25])).validate_on(geom)
+
+
+def test_probe_pair_takes_lists_tuples_and_arrays():
+    geom = SampleGeometry(l=2.0, w=1.0, a=0.5)
+    want = geometric_factor(geom, ProbePair((0.0, 0.5, 0.25), (2.0, 0.5, 0.25))).value
+    for x1, x2 in (([0.0, 0.5, 0.25], [2.0, 0.5, 0.25]),
+                   (np.array([0.0, 0.5, 0.25]), (2.0, 0.5, 0.25))):
+        assert geometric_factor(geom, ProbePair(x1, x2)).value == want
+    with pytest.raises(GeometryError, match="coincide"):
+        ProbePair([0.0, 0.5, 0.25], np.array([0.0, 0.5, 0.25]))
+    with pytest.raises(GeometryError, match="outside"):
+        ProbePair([0.0, 0.5, 0.25], [2.0, 0.5, 0.6]).validate_on(geom)
+
+
+@pytest.mark.parametrize("catalog, sample", sorted(CLOSED_FORM_G))
+def test_closed_form_g_frozen_for_bundled_samples(catalog, sample):
+    entries, _ = load_catalog(bundled_config_text(catalog))
+    entry = next(e for e in entries if e.sample_id == sample)
+    g = geometric_factor(entry.geom, entry.probes_longitudinal).value.to("cm^-1")
+    g_tr = geometric_factor_transverse(entry.geom, entry.probes_transverse).value.to("cm^-1")
+    assert (g, g_tr) == CLOSED_FORM_G[catalog, sample]
 
 
 def test_table_g_within_20_percent():

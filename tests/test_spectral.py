@@ -346,20 +346,42 @@ def not_finite_user_function(tau):
 @pytest.mark.parametrize("kernel, args, names", [
     (sigma_spectrum, (CovarianceModel(kind="user-function", func=not_finite_user_function),
                       1.0, 200.0), ["f=1 Hz", "t_m=200 s"]),
-    (sigma_spectrum, (CovarianceModel(kind="log-law", tau0=1e-160), 1.0, 200.0),
-     ["f=1 Hz", "t_m=200 s"]),
     (sigma_spectrum, (CovarianceModel(kind="log-law"), 0.01, 1e200),
      ["f=0.01 Hz", "t_m=1e+200 s"]),
     (wk_identity_check, (1.0, 1e307), ["omega=1 rad/s", "t_m=1e+307 s"]),
     (sign_function_transform, (1e300, 1e300), ["omega=1e+300 rad/s", "t_m=1e+300 s"]),
-], ids=["nan-user-function", "log-law-tau0-1e-160", "log-law-huge-t_m", "wk-huge-t_m",
-        "sign-omega-t_m-overflow"])
+], ids=["nan-user-function", "log-law-huge-t_m", "wk-huge-t_m", "sign-omega-t_m-overflow"])
 def test_kernels_reject_non_finite_results(kernel, args, names):
     # these once returned nan, with overflow warnings for the log-law
     with pytest.raises(SpectralError) as err:
         kernel(*args)
     for name in names:
         assert name in str(err.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_law_far_beyond_tau0_is_finite():
+    # |tau/tau0| reaches 2e162 here, where (tau/tau0)^2 overflows; this once
+    # raised SpectralError although the covariance is finite on [-t_m, t_m]
+    f, t_m, tau0, a = 1.0, 200.0, 1e-160, 1.0
+    sigma = sigma_spectrum(CovarianceModel(kind="log-law", tau0=tau0, a_cov=a), f, t_m)
+    exact = -math.exp(-2.0 * math.pi * f * tau0 * math.sqrt(a)) / f
+    assert abs(sigma - exact) <= 5.0 / (f * t_m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_law_evaluate_without_overflow():
+    cov = CovarianceModel(kind="log-law", tau0=2.0, a_cov=3.0)
+    tau = 2.0 * np.geomspace(1e-10, 1.3e154, 2001)
+    direct = np.log(3.0 + (tau / 2.0) ** 2)   # finite over this whole range
+    got = cov.evaluate(np.concatenate([tau, -tau]))
+    assert np.all(np.abs(got - np.tile(direct, 2)) <= 4 * np.tile(np.spacing(direct), 2))
+    below = tau <= 2e150   # the direct formula itself is used up to r = 1e150
+    assert np.array_equal(got[:tau.size][below], direct[below])
+    # r^2, and r itself, overflow here; ln(a + r^2) = 2 ln r to double precision
+    tiny = CovarianceModel(kind="log-law", tau0=1e-300, a_cov=3.0)
+    assert tiny.evaluate(np.array([1e300]))[0] == pytest.approx(4.0 * math.log(1e300),
+                                                               rel=4e-16)
 
 
 # ---------------------------------------------------------------------------

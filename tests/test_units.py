@@ -113,6 +113,14 @@ def test_parse_quantity_and_errors():
         parse_unit("furlong")
 
 
+@pytest.mark.parametrize("text", ["nan mV", "inf V", "-inf cm", "1 V^-400",
+                                  "1 cm^1e400", "1e308 m", "1e300 V^-4"])
+def test_parse_quantity_rejects_non_finite_and_overflow(text):
+    with pytest.raises(UnitsError) as err:
+        parse_quantity(text)
+    assert repr(text) in str(err.value)
+
+
 def test_quantity_arithmetic():
     a = quantity(2.0, "cm")
     b = quantity(4.0, "cm")

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,14 @@ def test_unknown_unit_rejected():
     with pytest.raises(ConfigError) as err:
         load_catalog(bad)
     assert "thickness" in str(err.value)
+
+
+def test_overflowing_length_rejected_naming_section_and_key():
+    # 1e308 m is 1e310 cm, which once parsed to inf without an error
+    bad = MINIMAL_CFG.replace("length = 2 um", "length = 1e308 m")
+    with pytest.raises(ConfigError) as err:
+        load_catalog(bad)
+    assert "[sample:S] length = '1e308 m'" in str(err.value)
 
 
 def test_wrong_dimension_rejected():
@@ -367,10 +377,15 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--fmin=-inf"], "--fmin -inf"),
     (["estimate", "--dt", "inf"], "dt must be finite"),
     (["estimate", "--dt", "nan"], "dt must be finite"),
+    (["spectrum", "--sample", "V1", "--u0", "nan mV"], "--u0 'nan mV'"),
+    (["spectrum", "--sample", "V1", "--u0", "inf V"], "--u0 'inf V'"),
+    (["spectrum", "--sample", "V1", "--u0", "1 V^-400"], "--u0 '1 V^-400'"),
+    (["spectrum", "--sample", "V1", "--u0", "1 cm^1e400"], "--u0 '1 cm^1e400'"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
-    # must be finite", inf after a numpy RuntimeWarning (an error here)
+    # must be finite", inf after a numpy RuntimeWarning (an error here); the
+    # overflowing unit powers ended in an OverflowError traceback
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -400,12 +415,60 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_import_cli_loads_no_scipy():
+def run_python(code, *args):
+    """stdout of a fresh interpreter that imports flickerfloor from this tree."""
     src = str(Path(flickerfloor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_cli_loads_no_scipy():
     code = ("import sys, flickerfloor.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+CONFIGS = Path(flickerfloor.__file__).parent / "configs"
+# the questions whose answers need no array work, with their exit codes
+SCALAR_QUESTIONS = [
+    (["factor", "--sample", "V2", "--mode", "transverse", "--method", "closed_form"], 0),
+    (["kappa", "--sample", "V5", "--g-source", "computed", "--single-species"], 0),
+    (["kappa", "--sample", "V1", "--mode", "transverse", "--g-source", "table"], 0),
+    (["delta", "--config", str(CONFIGS / "ybco.cfg")], 0),
+    (["report", "--config", str(CONFIGS / "gaas_piezo.cfg"), "--g-source", "computed"], 0),
+    (["report", "--mode", "transverse", "--g-source", "table"], 0),
+    (["spectrum", "--config", str(CONFIGS / "ybco.cfg"), "--sample", "X7"], 1),
+    (["spectrum", "--sample", "V80", "--u0", "2 m"], 1),
+]
+
+
+def test_scalar_questions_import_no_numpy():
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import flickerfloor, flickerfloor.cli
+        answers = []
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = flickerfloor.cli.main(argv)
+            loaded = [m for m in ("numpy", "flickerfloor.spectral") if m in sys.modules]
+            answers.append([code, bool(out.getvalue()), loaded])
+        print(json.dumps(answers))
+    """)
+    answers = json.loads(run_python(code, json.dumps([argv for argv, _ in SCALAR_QUESTIONS])))
+    for (argv, want_code), (code, printed, loaded) in zip(SCALAR_QUESTIONS, answers, strict=True):
+        assert (code, printed, loaded) == (want_code, want_code == 0, []), argv
+
+
+def test_package_names_resolve_lazily():
+    for name in flickerfloor.__all__:
+        assert getattr(flickerfloor, name) is not None
+    assert set(flickerfloor.__all__) <= set(dir(flickerfloor))
+    assert flickerfloor.sigma_spectrum is spectral.sigma_spectrum
+    namespace = {}
+    exec("from flickerfloor import *", namespace)
+    assert set(flickerfloor.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(flickerfloor, "nope")
