@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: factor, kappa, delta, spectrum, estimate, verify-wk, report.
-Exit codes: 0 success, 1 input error, 2 verification failure.
+Exit codes: 0 success, 1 input error (InputError, OSError), 2 verification failure.
 numpy is imported only for array work: by spectrum, estimate and verify-wk,
 which also import the spectral layer, and by factor --method quadrature.
 """
@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import geometry, noise_floor, workbench
-from .units import DimensionError, UnitsError, parse_quantity, quantity
+from .units import DimensionError, InputError, UnitsError, parse_quantity, quantity
 from .workbench import ConfigError
 
 
@@ -234,22 +234,11 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
-_INPUT_ERRORS = (ConfigError, UnitsError, DimensionError,
-                 geometry.GeometryError, noise_floor.NoiseFloorError, OSError)
-
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    # a SpectralError can only come from a loaded spectral layer
-    spectral = sys.modules.get(f"{__package__}.spectral")
-    return _INPUT_ERRORS + (spectral.SpectralError,) if spectral else _INPUT_ERRORS
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _input_errors() as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .units import Quantity, quantity
+from .units import InputError, Quantity, quantity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 Point = tuple[float, float, float]
 
 
-class GeometryError(ValueError):
+class GeometryError(InputError):
     """Invalid sample geometry or probe placement."""
 
 

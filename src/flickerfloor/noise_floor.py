@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import (GeometricFactor, ProbePair, SampleGeometry,
                        geometric_factor, geometric_factor_transverse)
-from .units import CODATA2018, DIMENSIONLESS, Quantity, quantity
+from .units import CODATA2018, DIMENSIONLESS, InputError, Quantity, quantity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .spectral import SpectrumSeries
 
 
-class NoiseFloorError(ValueError):
+class NoiseFloorError(InputError):
     """Invalid material or model input."""
 
 
@@ -210,7 +210,8 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
     """Floor spectrum S_F(f) = kappa * U0^2 / |f|^gamma on a frequency grid.
 
     Values are in V^2/Hz (times Hz^delta when gamma > 1).  Points beyond the
-    validity limit are flagged and annotated with the excess factor.
+    validity limit are flagged and annotated with the excess factor.  A floor
+    that is not finite at some grid point is a NoiseFloorError.
     """
     import numpy as np
 
@@ -220,7 +221,11 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
     if np.any(f == 0.0):
         raise NoiseFloorError("the floor spectrum diverges at f = 0")
     u0_volts = u0.to("V")
-    s = model.kappa * u0_volts ** 2 / np.abs(f) ** model.gamma
+    with np.errstate(all="ignore"):  # a numpy float squares to inf, not OverflowError
+        s = model.kappa * np.float64(u0_volts) ** 2 / np.abs(f) ** model.gamma
+    if not np.all(np.isfinite(s)):
+        raise NoiseFloorError(f"U0 = {u0_volts:g} V: the floor kappa*U0^2/|f|^gamma "
+                              "is not finite on this grid")
     beyond = np.abs(f) > model.fmax.to("Hz")
     excess = np.where(beyond, model.bound.excess_factor(np.abs(f)), 1.0)
     return SpectrumSeries(f=f, value=s, stderr=np.zeros_like(s),

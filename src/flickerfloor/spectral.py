@@ -36,8 +36,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .units import InputError
 
-class SpectralError(ValueError):
+
+class SpectralError(InputError):
     """Invalid input to a spectral operation."""
 
 

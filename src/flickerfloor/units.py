@@ -17,12 +17,16 @@ from typing import Iterable, Union
 Exponent = Union[int, Fraction]
 
 
-class UnitsError(ValueError):
+class InputError(ValueError):
+    """Base of every layer's input error; the CLI reports these with exit 1."""
+
+
+class UnitsError(InputError):
     """Invalid unit tag or malformed quantity string."""
 
 
 class DimensionError(TypeError):
-    """Operation between quantities of incompatible dimension."""
+    """Incompatible dimensions; not an InputError, since user paths wrap it."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,6 @@ class Quantity:
         return Quantity(self.value / other, self.dim)
 
     def __rtruediv__(self, other) -> "Quantity":
-        if isinstance(other, Quantity):  # pragma: no cover - handled by __truediv__
-            return other / self
         return Quantity(other / self.value, DIMENSIONLESS / self.dim)
 
     def __pow__(self, n: Exponent) -> "Quantity":
@@ -184,8 +186,15 @@ def _parse_product(text: str) -> Quantity:
     return out
 
 
-def parse_unit(tag: str) -> Quantity:
-    """Parse a unit tag like 'cm', 'V/m', 'g/cm^3' or '1/(eV*cm^3)'."""
+def _in_range(q: Quantity) -> Quantity:
+    # inf, nan and 0 persist through products: per-segment checks see every running value
+    if not (math.isfinite(q.value) and q.value != 0):
+        raise OverflowError
+    return q
+
+
+def _parse_unit(tag: str) -> Quantity:
+    """parse_unit, raising OverflowError when a magnitude leaves the float range."""
     tag = tag.strip()
     if tag in ("", "1", "dimensionless"):
         return Quantity(1.0)
@@ -202,10 +211,21 @@ def parse_unit(tag: str) -> Quantity:
         else:
             cur.append(ch)
     segments.append("".join(cur))
-    out = _parse_product(segments[0])
+    out = _in_range(_parse_product(segments[0]))
     for seg in segments[1:]:
-        out = out / _parse_product(seg)
+        out = _in_range(out / _in_range(_parse_product(seg)))
     return out
+
+
+def parse_unit(tag: str) -> Quantity:
+    """Parse a unit tag like 'cm', 'V/m', 'g/cm^3' or '1/(eV*cm^3)'.
+
+    A magnitude that overflows, underflows to 0 or turns nan mid-parse is a UnitsError.
+    """
+    try:
+        return _parse_unit(tag)
+    except OverflowError as err:
+        raise UnitsError(f"unit '{tag}' is out of floating-point range") from err
 
 
 def quantity(value: float, unit: str = "") -> Quantity:
@@ -228,7 +248,7 @@ def parse_quantity(text: str) -> Quantity:
     if not math.isfinite(value):
         raise UnitsError(f"non-finite value in '{text}'")
     try:
-        q = quantity(value, parts[1] if len(parts) > 1 else "")
+        q = value * _parse_unit(parts[1] if len(parts) > 1 else "")
     except OverflowError as err:
         raise UnitsError(f"unit power out of floating-point range in '{text}'") from err
     if not math.isfinite(q.value):

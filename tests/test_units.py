@@ -114,8 +114,12 @@ def test_parse_quantity_and_errors():
 
 
 @pytest.mark.parametrize("text", ["nan mV", "inf V", "-inf cm", "1 V^-400",
-                                  "1 cm^1e400", "1e308 m", "1e300 V^-4"])
+                                  "1 cm^1e400", "1e308 m", "1e300 V^-4",
+                                  "1 m/(V^-100*V^-100)", "1 V^100*V^100",
+                                  "1 m/(V^100*V^100)"])
 def test_parse_quantity_rejects_non_finite_and_overflow(text):
+    # the last three overflow or underflow mid-parse: they once returned 0.0
+    # or ended in a ZeroDivisionError
     with pytest.raises(UnitsError) as err:
         parse_quantity(text)
     assert repr(text) in str(err.value)

