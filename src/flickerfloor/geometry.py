@@ -176,6 +176,7 @@ def _closed_form_box_integral(dims: Point, x: Point) -> float:
 _GAUSS_ORDER = 8
 _ETA = 2.5          # admissibility: cell used when dist >= eta * half-diagonal
 _SIZE_FLOOR = 3e-4  # singular-cell size floor, relative to the box diagonal
+_GAUSS_BATCH = 64   # admissible cells per Gauss call: 64 * 8^3 doubles per array
 
 
 def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
@@ -191,10 +192,10 @@ def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
     dx = gx[:, :, None, None] - x[0]
     dy = gy[:, None, :, None] - x[1]
     dz = gz[:, None, None, :] - x[2]
-    inv_r = 1.0 / np.sqrt(dx * dx + dy * dy + dz * dz)
-    wxyz = weights[None, :, None, None] * weights[None, None, :, None] * weights[None, None, None, :]
-    vals = np.prod(halves, axis=1) * np.einsum("cijk,cijk->c", inv_r, np.broadcast_to(wxyz, inv_r.shape))
-    return float(np.sum(vals))
+    inv_r = dx * dx + dy * dy + dz * dz
+    np.reciprocal(np.sqrt(inv_r, out=inv_r), out=inv_r)
+    # contract z, then y, then x with the 1-d weights
+    return float(np.prod(halves, axis=1) @ (inv_r @ weights @ weights @ weights))
 
 
 def _quadrature_box_integral(dims: Point, x: Point) -> float:
@@ -213,7 +214,7 @@ def _quadrature_box_integral(dims: Point, x: Point) -> float:
     total = 0.0
     los = np.zeros((1, 3))
     his = dims[None, :].astype(float)
-    batch = 4096
+    gauss = []  # admissible (los, his) of every level, summed after the walk
     while len(los):
         centers = 0.5 * (los + his)
         halves = 0.5 * (his - los)
@@ -221,10 +222,7 @@ def _quadrature_box_integral(dims: Point, x: Point) -> float:
         d = np.linalg.norm(np.maximum(np.abs(x - centers) - halves, 0.0), axis=1)
         far = d >= _ETA * h
         tiny = h <= floor_h
-        use_gauss = np.flatnonzero(far)
-        for start in range(0, len(use_gauss), batch):
-            idx = use_gauss[start:start + batch]
-            total += _gauss_cells(los[idx], his[idx], x, nodes, weights)
+        gauss.append((los[far], his[far]))
         sing = np.flatnonzero(~far & tiny)
         for i in sing:
             total += _closed_form_box_integral((his[i] - los[i]).tolist(), (x - los[i]).tolist())
@@ -240,6 +238,10 @@ def _quadrature_box_integral(dims: Point, x: Point) -> float:
         right_lo[np.arange(len(split)), axis] = mid
         los = np.concatenate([slos, right_lo])
         his = np.concatenate([left_hi, shis])
+    los, his = (np.concatenate(cells) for cells in zip(*gauss))
+    for start in range(0, len(los), _GAUSS_BATCH):
+        stop = start + _GAUSS_BATCH
+        total += _gauss_cells(los[start:stop], his[start:stop], x, nodes, weights)
     return total
 
 
@@ -271,8 +273,13 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
 
 def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> float:
     probes.validate_on(geom)
-    return (_box_integral(geom.dims, _point(probes.x1), method)
-            + _box_integral(geom.dims, _point(probes.x2), method))
+    dims, p1, p2 = geom.dims, _point(probes.x1), _point(probes.x2)
+    # the integral is even under each of the box's three mirror planes; the
+    # distance to the nearer face per axis is exact (d - c is, for c >= d/2)
+    fold1, fold2 = (tuple(min(c, d - c) for c, d in zip(p, dims)) for p in (p1, p2))
+    if fold1 == fold2:
+        return 2.0 * _box_integral(dims, p1, method)
+    return _box_integral(dims, p1, method) + _box_integral(dims, p2, method)
 
 
 def geometric_factor(geom: SampleGeometry, probes: ProbePair,

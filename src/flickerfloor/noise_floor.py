@@ -85,11 +85,20 @@ class ValidityBound:
     hbar_d_omega: float  # hbar*D*Omega, seconds
 
     def excess_factor(self, f_hz) -> np.ndarray:
-        """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax."""
+        """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax.
+
+        A frequency at which the factor overflows is a NoiseFloorError.
+        """
         import numpy as np
 
-        omega = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
-        return (omega * self.hbar_d_omega) ** 2
+        f = np.asarray(f_hz, dtype=float)
+        with np.errstate(over="ignore"):
+            excess = (2.0 * np.pi * f * self.hbar_d_omega) ** 2
+        bad = ~np.isfinite(excess)
+        if bad.any():
+            raise NoiseFloorError(f"f = {f[bad].flat[0]:g} Hz: the excess factor "
+                                  "(2*pi*f*hbar*D*Omega)^2 overflows")
+        return excess
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,12 @@ class WkIdentityResult:
 _SAMPLES_PER_BLOCK = 4096
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported at the end
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
-    """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid."""
+    """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid.
+
+    A spectrum that overflows the float range is a SpectralError naming dt.
+    """
     if len(ensemble) < 1:
         raise SpectralError("ensemble must contain at least one record")
     n, dt = ensemble[0].n, ensemble[0].dt
@@ -173,8 +177,8 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
             raise SpectralError(
                 f"inconsistent records: expected n={n}, dt={dt}, got n={rec.n}, dt={rec.dt}")
     f = np.asarray(f_grid, dtype=float)
-    if np.any(f < 0):
-        raise SpectralError("frequencies must be nonnegative")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise SpectralError("frequencies must be finite and nonnegative")
     w = np.full(n, dt)
     w[0] = w[-1] = dt / 2.0  # trapezoid weights
     # phase table of the first block; block lo starts at angle theta, and
@@ -204,6 +208,9 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
         stderr = p.std(axis=0, ddof=1) / math.sqrt(len(ensemble))
     else:
         stderr = np.zeros_like(mean)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(stderr))):
+        raise SpectralError(f"power_spectrum_estimate: the periodogram (Us^2 + Uc^2)/t_m "
+                            f"overflows at dt = {dt:g} s, n = {n}")
     return SpectrumSeries(f=f, value=mean, stderr=stderr)
 
 

@@ -9,6 +9,7 @@ boundary only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,6 +194,7 @@ def _in_range(q: Quantity) -> Quantity:
     return q
 
 
+@functools.lru_cache(maxsize=256)  # results are frozen; an error is not cached
 def _parse_unit(tag: str) -> Quantity:
     """parse_unit, raising OverflowError when a magnitude leaves the float range."""
     tag = tag.strip()

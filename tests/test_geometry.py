@@ -7,6 +7,7 @@ primitive or the adaptive quadrature under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,79 @@ def test_closed_form_g_frozen_for_bundled_samples(catalog, sample):
     g = geometric_factor(entry.geom, entry.probes_longitudinal).value.to("cm^-1")
     g_tr = geometric_factor_transverse(entry.geom, entry.probes_transverse).value.to("cm^-1")
     assert (g, g_tr) == CLOSED_FORM_G[catalog, sample]
+
+
+def catalog_pairs():
+    """(label, geometry, probes, factor) for every catalog sample in both modes."""
+    for catalog, sample in sorted(CLOSED_FORM_G):
+        entries, _ = load_catalog(bundled_config_text(catalog))
+        entry = next(e for e in entries if e.sample_id == sample)
+        yield (f"{catalog}/{sample}", entry.geom, entry.probes_longitudinal, geometric_factor)
+        yield (f"{catalog}/{sample} tr", entry.geom, entry.probes_transverse,
+               geometric_factor_transverse)
+
+
+def two_integral_factor(geom, probes, factor, method="closed_form"):
+    # g as the sum of the two probes' Coulomb integrals, one call each
+    total = sum(coulomb_box_integral(geom, x, method=method).to("cm^2")
+                for x in (probes.x1, probes.x2))
+    if factor is geometric_factor:
+        return total / (3.0 * geom.volume)
+    return total * ((geom.w / geom.l) ** 2 / (3.0 * geom.volume))
+
+
+def test_catalog_pairs_are_mirror_images_with_bit_equal_halves():
+    # every catalog pair takes the one-integral path, and there the closed
+    # form's two halves are bit-equal, so doubling one is the old two-call sum
+    pairs = list(catalog_pairs())
+    assert len(pairs) == 2 * len(CLOSED_FORM_G)
+    for label, geom, probes, factor in pairs:
+        f1, f2 = (tuple(min(c, d - c) for c, d in zip(x, geom.dims))
+                  for x in (probes.x1, probes.x2))
+        assert f1 == f2, label
+        t1, t2 = (coulomb_box_integral(geom, x).to("cm^2") for x in (probes.x1, probes.x2))
+        assert t1 == t2, label
+        assert factor(geom, probes).value.to("cm^-1") == two_integral_factor(
+            geom, probes, factor), label
+
+
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_asymmetric_pair_sums_two_integrals(method):
+    geom = SampleGeometry(l=2.0, w=1.0, a=0.5)
+    probes = ProbePair((0.3, 0.2, 0.1), (2.0, 0.5, 0.25))  # off-centre interior, end face
+    for factor in (geometric_factor, geometric_factor_transverse):
+        assert factor(geom, probes, method=method).value.to("cm^-1") == two_integral_factor(
+            geom, probes, factor, method)
+
+
+def test_quadrature_mirror_pairs_within_1e_14():
+    # on a well-conditioned box the closed form is exact to rounding
+    for geom in (SampleGeometry(l=2.0, w=1.0, a=0.5), SampleGeometry(l=0.2, w=0.2, a=0.2)):
+        for factor, probes in ((geometric_factor, longitudinal_probes),
+                               (geometric_factor_transverse, transverse_probes)):
+            closed = factor(geom, probes(geom)).value.to("cm^-1")
+            quad = factor(geom, probes(geom), method="quadrature").value.to("cm^-1")
+            assert quad == pytest.approx(closed, rel=1e-14, abs=0)
+    # on the thin catalog boxes, doubling one quadrature integral stays within
+    # 1e-14 of integrating at both probes
+    for label, geom, probes, factor in catalog_pairs():
+        quad = factor(geom, probes, method="quadrature").value.to("cm^-1")
+        assert quad == pytest.approx(two_integral_factor(geom, probes, factor, "quadrature"),
+                                     rel=1e-14, abs=0), label
+
+
+def test_quadrature_factor_peak_memory_under_1_mb():
+    # the Gauss sweep works in fixed batches of cells, so its arrays stay small
+    entries, _ = load_catalog(bundled_config_text("ybco"))
+    entry = next(e for e in entries if e.sample_id == "bulk-B")
+    geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")  # warm up
+    tracemalloc.start()
+    try:
+        geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_table_g_within_20_percent():

@@ -159,6 +159,12 @@ def test_excess_factor_values():
     assert bound.excess_factor(10.0 * fmax) == pytest.approx(100.0, rel=1e-12)
 
 
+def test_excess_factor_overflow_names_the_frequency():
+    bound = validity_bound(make_material(), SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
+    with pytest.raises(NoiseFloorError, match=r"f = 1e\+308 Hz"):
+        bound.excess_factor(np.array([1.0, 1e308]))
+
+
 # ---------------------------------------------------------------------------
 # build_model / evaluate_spectrum
 # ---------------------------------------------------------------------------

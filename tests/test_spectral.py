@@ -122,6 +122,20 @@ def test_estimate_is_nonnegative(seed, n_rec):
     assert np.all(series.value >= 0.0)
 
 
+@pytest.mark.parametrize("dt, scale", [(1e300, 1.0), (1e10, 1e300)])
+def test_estimate_overflow_names_dt_and_estimator(dt, scale):
+    # (Us^2 + Uc^2)/t_m, or samples * dt itself, overflows: no warning, one error
+    recs = [SignalRecord(samples=scale * np.cos(np.arange(64.0)), dt=dt) for _ in range(2)]
+    with pytest.raises(SpectralError, match=r"^power_spectrum_estimate: .* dt = 1e\+(300|10) s"):
+        power_spectrum_estimate(recs, [0.0, 0.1 / dt])
+
+
+@pytest.mark.parametrize("f", [math.inf, math.nan, -1.0])
+def test_estimate_rejects_bad_frequencies(f):
+    with pytest.raises(SpectralError, match="frequencies must be finite and nonnegative"):
+        power_spectrum_estimate([sinusoid_record(n=16)], [0.0, f])
+
+
 # ---------------------------------------------------------------------------
 # sigma_spectrum
 # ---------------------------------------------------------------------------

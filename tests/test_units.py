@@ -13,6 +13,7 @@ from flickerfloor.units import (
     Quantity,
     UnitsError,
     parse_quantity,
+    _parse_unit,
     parse_unit,
     quantity,
 )
@@ -137,3 +138,23 @@ def test_quantity_arithmetic():
 def test_quantity_to_returns_plain_float():
     assert isinstance(quantity(3.0, "m").to("cm"), float)
     assert quantity(3.0, "m").to("cm") == pytest.approx(300.0)
+
+
+def test_unit_tags_parsed_once_in_a_bounded_cache():
+    assert _parse_unit.cache_info().maxsize is not None
+    first = parse_unit("1/(erg*cm^3)")
+    hits = _parse_unit.cache_info().hits
+    assert parse_unit("1/(erg*cm^3)") is first
+    assert _parse_unit.cache_info().hits == hits + 1
+    with pytest.raises(AttributeError):  # frozen, so a cached value cannot change
+        first.value = 2.0
+
+
+@pytest.mark.parametrize("tag", ["furlong", "V^100*V^100", "cm^x"])
+def test_bad_unit_tag_raises_on_every_call(tag):
+    # errors are not cached: a repeated bad tag fails the same way each time
+    for _ in range(3):
+        with pytest.raises(UnitsError):
+            parse_unit(tag)
+        with pytest.raises(UnitsError):
+            quantity(1.0, tag)

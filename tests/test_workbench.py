@@ -300,6 +300,24 @@ def test_cli_spectrum(tmp_path):
     assert len(lines) == 6
 
 
+def test_cli_spectrum_overflowing_excess_factor_is_input_error(capsys):
+    # the excess factor at 1e308 Hz overflows: exit 1 naming f, not inf in the CSV
+    assert cli.main(["spectrum", "--sample", "V1", "--fmax", "1e308", "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: f = 1e+308 Hz")
+    assert "Warning" not in captured.err
+
+
+def test_cli_estimate_overflow_names_dt_and_estimator(capsys):
+    assert cli.main(["estimate", "--n", "4096", "--dt", "1e300", "--records", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power_spectrum_estimate")
+    assert "dt = 1e+300" in captured.err
+    assert "Warning" not in captured.err
+
+
 def test_cli_spectrum_marks_points_beyond_validity(capsys):
     entries, _ = load_catalog(bundled_config_text("ingaas"))
     v80 = next(e for e in entries if e.sample_id == "V80")
