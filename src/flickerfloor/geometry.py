@@ -12,6 +12,7 @@ adaptive octree quadrature provides an independent cross-check path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -198,6 +199,15 @@ def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
     return float(np.prod(halves, axis=1) @ (inv_r @ weights @ weights @ weights))
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
+    built on first use, so that importing the module imports no numpy."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_GAUSS_ORDER)
+
+
 def _quadrature_box_integral(dims: Point, x: Point) -> float:
     """Octree quadrature of the box Coulomb integral.
 
@@ -206,10 +216,9 @@ def _quadrature_box_integral(dims: Point, x: Point) -> float:
     the residual singular cells are evaluated with the exact corner primitive.
     """
     import numpy as np
-    from numpy.polynomial.legendre import leggauss
 
     dims, x = np.array(dims), np.array(x)
-    nodes, weights = leggauss(_GAUSS_ORDER)
+    nodes, weights = _gauss_rule()
     floor_h = _SIZE_FLOOR * float(np.linalg.norm(dims))
     total = 0.0
     los = np.zeros((1, 3))

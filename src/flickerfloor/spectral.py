@@ -23,6 +23,9 @@ No phase is taken from a large argument: the kernels' panel edges sit at
 whole periods, whose phases are small multiples of the exactly computed
 amount by which omega * period misses 2 pi, and the estimator reuses one
 block's phase table, rotated by each block's start angle reduced to one cycle.
+That table is assembled by angle addition from two tables of about sqrt(block)
+phases each, and the noise synthesizer draws Gaussian Fourier amplitudes, so
+neither takes a trig function per sample.
 """
 
 from __future__ import annotations
@@ -161,6 +164,35 @@ class WkIdentityResult:
 # time samples per block; one sin/cos table of this many samples serves every
 # block, so peak memory is O(n_f * _SAMPLES_PER_BLOCK) whatever the record length
 _SAMPLES_PER_BLOCK = 4096
+# the phase table's sample index j = _PHASE_SPLIT * q + r: its cos and sin are
+# assembled from those of q and r, so a 4096-sample table takes 2 * 128 trig
+# calls per frequency instead of 2 * 4096
+_PHASE_SPLIT = 64
+
+
+def _phase_tables(f: np.ndarray, dt: float, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi f t_j at t_j = j dt, j < block, as (n_f, block) arrays.
+
+    With j = m q + r, the angle-addition formulas are rank-2 matrix products of
+    short tables, written straight into the two tables:
+
+        cos(a_q + b_r) = [cos a_q, -sin a_q] @ [cos b_r; sin b_r],
+        sin(a_q + b_r) = [sin a_q,  cos a_q] @ [cos b_r; sin b_r].
+    """
+    m = min(block, _PHASE_SPLIT)
+    rows = -(-block // m)
+    tables = np.empty((f.size, block)), np.empty((f.size, block))
+    fine = 2.0 * math.pi * np.outer(f, np.arange(m) * dt)                   # b_r
+    coarse = 2.0 * math.pi * np.outer(f, np.arange(rows) * (m * dt))        # a_q
+    right = np.stack([np.cos(fine), np.sin(fine)], axis=1)                  # (n_f, 2, m)
+    cos_a, sin_a = np.cos(coarse), np.sin(coarse)
+    full = block - block % m  # a ragged block's last row is shorter
+    for table, left in zip(tables, (np.stack([cos_a, -sin_a], axis=2),
+                                    np.stack([sin_a, cos_a], axis=2))):     # (n_f, rows, 2)
+        np.matmul(left[:, :full // m], right, out=table[:, :full].reshape(f.size, full // m, m))
+        if full < block:
+            np.matmul(left[:, -1:], right[:, :, :block - full], out=table[:, None, full:])
+    return tables
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported at the end
@@ -179,21 +211,21 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     f = np.asarray(f_grid, dtype=float)
     if not np.all(np.isfinite(f) & (f >= 0)):
         raise SpectralError("frequencies must be finite and nonnegative")
-    w = np.full(n, dt)
-    w[0] = w[-1] = dt / 2.0  # trapezoid weights
     # phase table of the first block; block lo starts at angle theta, and
     # sin/cos(theta + phi) = rotation of the table's products by theta
     block = min(n, _SAMPLES_PER_BLOCK)
-    phase = 2.0 * math.pi * np.outer(f, np.arange(block) * dt)             # (n_f, block)
-    cos_table = np.cos(phase)
-    sin_table = np.sin(phase, out=phase)
+    cos_table, sin_table = _phase_tables(f, dt, block)
     us = np.zeros((len(ensemble), f.size))
     uc = np.zeros((len(ensemble), f.size))
     buffer = np.empty((len(ensemble), block))  # reused, so one block is alive at a time
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         x = np.stack([rec.samples[lo:hi] for rec in ensemble], out=buffer[:, :hi - lo])
-        x *= w[lo:hi]                                                       # (n_rec, hi-lo)
+        x *= dt                                                             # (n_rec, hi-lo)
+        if lo == 0:
+            x[:, 0] *= 0.5  # trapezoid weights at the two ends
+        if hi == n:
+            x[:, -1] *= 0.5
         a = x @ cos_table[:, :hi - lo].T                                    # (n_rec, n_f)
         b = x @ sin_table[:, :hi - lo].T
         cycles = f * (lo * dt)
@@ -234,6 +266,11 @@ _CHEB_TOL = 1e-14
 # Chebyshev panels evaluated together; a batch whose panels all fall back to
 # the Gauss rule holds about 1.5 MB
 _PANEL_BATCH = 64
+# work budget: the most Chebyshev and per-period Gauss panels one quadrature
+# may evaluate.  Smooth integrands take a few dozen (under 60 at f t_m = 1e12);
+# one that never resolves on 8 periods takes about 1.3 f t_m, near 0.5 s per
+# 1e5 periods, so the budget stops such a call within about 20 s
+_MAX_PANELS = 5_000_000
 _TWO_PI = Fraction("6.283185307179586476925286766559005768394")
 
 
@@ -293,7 +330,9 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     2 _GAUSS_PERIODS periods gets the Gauss rule, so smooth g takes about
     log2(f t_m) panels.  Edge kP has the small phase k drift, with
     drift = omega P - 2 pi and t_m - nP found in exact arithmetic, so no phase
-    comes from a large argument.  A non-finite g ends with nan sums.
+    comes from a large argument.  A non-finite g ends with nan sums.  Panels
+    are counted before each batch is evaluated; past _MAX_PANELS the call is
+    a SpectralError naming omega and t_m.
     """
     w = abs(omega)
     period = 2.0 * math.pi / w
@@ -302,6 +341,16 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     n = math.floor(t_m / period)
     drift = float(Fraction(w) * Fraction(period) - _TWO_PI)
     gauss_nodes, gauss_weights, cheb_nodes, to_coeffs, at_one, at_minus_one = _panel_tables()
+    used = 0
+
+    def spend(panels):  # the work budget, charged before the panels are evaluated
+        nonlocal used
+        used += panels
+        if used > _MAX_PANELS:
+            raise SpectralError(
+                f"omega={omega:g} rad/s, t_m={t_m:g} s needs more than {_MAX_PANELS:,} "
+                "quadrature panels, the work budget: the integrand does not become "
+                "smooth on the scale of several periods")
 
     local = 0.5 * period * (1.0 + gauss_nodes)
     table = 0.5 * period * gauss_weights * np.exp(1j * w * local)
@@ -309,6 +358,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     # products of real and complex factors are taken as real products: a
     # complex BLAS product keeps about 0.25 MB more resident in the process
     def periods(k):  # Gauss panels [kP, (k+1)P]: sums and max |g| per row
+        spend(k.size)
         values = g((k[:, None] * period + local).ravel()).reshape(-1, k.size, _NODES_PER_PANEL)
         sums = (values @ table.real + 1j * (values @ table.imag)) * np.exp(1j * drift * k)
         return sums.sum(axis=1), np.abs(values).max(axis=(1, 2))
@@ -337,6 +387,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     while stack:
         start, count = np.array(stack[-_PANEL_BATCH:], dtype=float).T
         del stack[-_PANEL_BATCH:]
+        spend(start.size)
         h = 0.5 * count * period
         values = g(((start * period + h)[:, None] + h[:, None] * cheb_nodes).ravel())
         values = values.reshape(-1, start.size, _CHEB_DEGREE + 1)  # (rows, panels, nodes)
@@ -454,13 +505,36 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
 # power-law noise synthesis
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)  # an ensemble draws every record with one key
+def _amplitude_profile(gamma: float, n: int, variance: float) -> np.ndarray:
+    """Standard deviation of the real and of the imaginary part of each rfft bin.
+
+    s_k ~ k^(-gamma/2), or f_k^(-gamma/2) up to a factor that the scaling
+    removes; the DC bin is 0, and the real Nyquist bin gets sqrt(2) s_k so
+    that E|X_k|^2 ~ f_k^(-gamma) on every bin.  By Parseval the expected mean
+    square of irfft(X) is the sum of E|X_k|^2 over the full spectrum over n^2,
+    which the profile is scaled to make `variance`.  Read-only: it is shared.
+    """
+    sd = np.zeros(n // 2 + 1)
+    sd[1:] = np.arange(1, n // 2 + 1) ** (-gamma / 2.0)
+    sd[-1] *= math.sqrt(2.0)
+    expected = (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2
+    sd *= math.sqrt(variance / expected)
+    sd.flags.writeable = False
+    return sd
+
+
 def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int,
                                variance: float = 1.0) -> SignalRecord:
-    """Deterministic 1/f^gamma noise via frequency-domain shaping.
+    """Deterministic Gaussian 1/f^gamma noise (Timmer & Koenig 1995, A&A 300, 707).
 
-    Random phases on a fixed amplitude profile |X(f)| ~ f^(-gamma/2) with
-    Hermitian symmetry; the output is rescaled to the requested sample
-    variance.  gamma must lie in [0, 2] and n must be a power of two.
+    Each rfft bin k > 0 gets independent Gaussian real and imaginary parts of
+    standard deviation ~ f_k^(-gamma/2), drawn from default_rng(seed); the
+    DC bin is 0 and the Nyquist bin is real.  The profile is scaled so that
+    the expected sample variance is `variance`: each record's own variance
+    scatters about it, as its periodogram scatters about the spectrum (as
+    S chi^2_2 / 2 on a bin).  gamma must lie in [0, 2] and n must be a power
+    of two.
     """
     if not 0.0 <= gamma <= 2.0:
         raise SpectralError(f"gamma must be in [0, 2], got {gamma}")
@@ -469,17 +543,12 @@ def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int,
     for name, value in (("dt", dt), ("variance", variance)):
         if not (math.isfinite(value) and value > 0):
             raise SpectralError(f"{name} must be finite and positive, got {value}")
-    rng = np.random.default_rng(seed)
-    freqs = np.fft.rfftfreq(n, d=dt)
-    amp = np.zeros(n // 2 + 1)
-    amp[1:] = freqs[1:] ** (-gamma / 2.0)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n // 2 + 1)
-    spectrum = amp * np.exp(1j * phases)
-    spectrum[0] = 0.0
-    spectrum[-1] = amp[-1] * math.cos(phases[-1])  # Nyquist bin must be real
-    x = np.fft.irfft(spectrum, n=n)
-    x *= math.sqrt(variance / np.mean(x ** 2))
-    return SignalRecord(samples=x, dt=dt)
+    spectrum = np.empty(n // 2 + 1, dtype=complex)
+    parts = spectrum.view(float).reshape(-1, 2)  # (bins, real and imaginary part)
+    np.random.default_rng(seed).standard_normal(out=parts)
+    parts *= _amplitude_profile(gamma, n, variance)[:, None]
+    parts[-1, 1] = 0.0  # the Nyquist bin is real
+    return SignalRecord(samples=np.fft.irfft(spectrum, n=n), dt=dt)
 
 
 # ---------------------------------------------------------------------------

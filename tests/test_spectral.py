@@ -414,6 +414,35 @@ def test_block_size_does_not_change_estimate(monkeypatch, samples):
     np.testing.assert_allclose(estimate_values(), reference, rtol=1e-12, atol=0.0)
 
 
+def exact_phase_estimate(samples, dt, cycles, den):
+    """Ensemble mean of (Us^2 + Uc^2)/t_m by direct cos/sin sums at
+    f = cycles/(den dt), den a power of two: the phase 2 pi f t_j is taken
+    from the exact residue cycles * j mod den, so it is right to one ulp."""
+    n = samples.shape[1]
+    j = np.arange(n)
+    x = dt * samples
+    x[:, [0, -1]] *= 0.5  # trapezoid weights
+    out = []
+    for c in cycles:
+        phase = 2.0 * math.pi * ((int(c) * j) % den) / den
+        out.append(np.mean(((x @ np.sin(phase)) ** 2 + (x @ np.cos(phase)) ** 2) / (dt * (n - 1))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [40, 100, 2 ** 16])
+def test_factored_phase_table_matches_direct_trig(n):
+    # 40 samples fit in one row of the table, 100 leave a ragged last row and
+    # 2^16 take 16 blocks; f = 0 and f = 1/(2 dt) are the grid's ends
+    rng = np.random.default_rng(n)
+    dt, den = 0.25, 2 ** 20
+    samples = rng.standard_normal((3, n))
+    cycles = np.unique(np.concatenate([[0, den // 2], rng.integers(1, den // 2, 30)]))
+    recs = [SignalRecord(samples=row, dt=dt) for row in samples]
+    got = power_spectrum_estimate(recs, cycles / (den * dt)).value
+    np.testing.assert_allclose(got, exact_phase_estimate(samples, dt, cycles, den),
+                               rtol=1e-12, atol=0.0)
+
+
 def traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -421,6 +450,15 @@ def traced_peak_mb(fn, *args):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, limit_mb", [(2 ** 12, 5.13), (2 ** 16, 5.64)])
+def test_estimate_peak_memory(n, limit_mb):
+    # the limits are the peaks of a full-size cos and sin phase table taken
+    # with one trig call per entry, and a per-sample weight array
+    recs = [synthesize_power_law_noise(1.0, n, 1.0, seed=s) for s in range(32)]
+    f = np.logspace(np.log10(10.0 / (n - 1)), np.log10(0.25), 60)
+    assert traced_peak_mb(power_spectrum_estimate, recs, f) <= limit_mb
 
 
 @pytest.mark.parametrize("ft, limit_mb", [(1e5, 16.0), (1e6, 16.0)])
@@ -449,6 +487,38 @@ def test_kernels_at_f_t_m_1e12(kernel, args, value, target, rel):
     assert abs(value(result) - target) <= rel * abs(target)
     assert elapsed < 1.0
     assert traced_peak_mb(kernel, *args) < 1.0
+
+
+def unresolved_covariance(tau):
+    # oscillates near f = 1 without decaying on the scale of 8 periods, so
+    # every doubling panel splits down to one Gauss panel per period
+    return np.exp(-np.abs(tau) / 1e4) * np.cos(5.0 * tau)
+
+
+def test_work_budget_stops_an_unresolved_covariance(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 10_000)
+    cov = CovarianceModel(kind="user-function", func=unresolved_covariance)
+    with pytest.raises(SpectralError, match="work budget") as err:
+        sigma_spectrum(cov, 1.0, 1e5)
+    for name in ("omega=6.28319 rad/s", "t_m=100000 s", "10,000"):
+        assert name in str(err.value)
+
+
+def test_work_budget_admits_an_unresolved_covariance_below_it():
+    # about 1.3e5 panels; the value is the one computed before the budget
+    cov = CovarianceModel(kind="user-function", func=unresolved_covariance)
+    assert sigma_spectrum(cov, 1.0, 1e5) == pytest.approx(6.767006842457863e-05, rel=1e-12)
+
+
+def test_smooth_covariance_stays_far_below_the_work_budget(monkeypatch):
+    # the log-law at f t_m = 1e12 needs under 100 panels, 5e4 times fewer
+    # than the budget
+    cov, target = CovarianceModel(kind="log-law"), -math.exp(-0.02 * math.pi) / 0.01
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 100)
+    assert sigma_spectrum(cov, 0.01, 1e14) == pytest.approx(target, rel=5e-12)
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 20)  # Chebyshev panels count too
+    with pytest.raises(SpectralError, match="work budget"):
+        sigma_spectrum(cov, 0.01, 1e14)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +568,98 @@ def fitted_slope(gamma, n_seeds=100, n=2048, dt=1.0):
 
 def test_pink_noise_pipeline_recovers_slope():
     assert fitted_slope(1.0) == pytest.approx(-1.0, abs=0.05)
+
+
+def test_synthesis_scales_to_the_expected_variance():
+    # Parseval: the profile's expected mean square is the variance asked for;
+    # each record's own variance scatters about it instead of equalling it
+    n, variance = 1024, 2.5
+    sd = spectral._amplitude_profile(1.0, n, variance)
+    assert sd[0] == 0.0
+    power = 2.0 * sd[1:] ** 2  # E|X_k|^2, real and imaginary part
+    power[-1] = sd[-1] ** 2    # the Nyquist bin has a real part only
+    np.testing.assert_allclose(power * np.arange(1, n // 2 + 1), power[0], rtol=1e-13)
+    assert (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2 == pytest.approx(variance,
+                                                                             rel=1e-12)
+    mean_square = np.array([np.mean(synthesize_power_law_noise(
+        1.0, n, 0.5, seed=s, variance=variance).samples ** 2) for s in range(400)])
+    assert abs(mean_square.mean() - variance) < 3.0 * mean_square.std() / math.sqrt(400)
+    assert mean_square.std() > 0.1 * variance
+
+
+def test_white_synthesis_is_flat_up_to_the_nyquist_bin():
+    # mean |X_k|^2 over 4000 records is within 10% (about 4 standard errors
+    # at the Nyquist bin) of the same level on every bin but DC
+    x = np.stack([synthesize_power_law_noise(0.0, 16, 1.0, seed=s).samples
+                  for s in range(4000)])
+    power = np.mean(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
+    assert power[0] < 1e-20
+    np.testing.assert_allclose(power[1:], 16.0 ** 2 / 15.0, rtol=0.1)
+
+
+def test_synthesis_keeps_one_read_only_profile():
+    spectral._amplitude_profile.cache_clear()
+    for s in range(32):  # one ensemble, one key
+        synthesize_power_law_noise(1.0, 256, 1.0, seed=s)
+    assert spectral._amplitude_profile.cache_info().hits == 31
+    profile = spectral._amplitude_profile(1.0, 256, 1.0)
+    with pytest.raises(ValueError):
+        profile[1] = 0.0
+    synthesize_power_law_noise(0.5, 512, 1.0, seed=0)
+    assert spectral._amplitude_profile.cache_info().currsize == 1
+
+
+def expected_periodogram(gamma, n, dt, f):
+    """E[(Us^2 + Uc^2)/t_m] of the unit-variance synthesis: sum_k sigma_k^2
+    |K(f - f_k)|^2 over the full spectrum, with K(nu) = sum_j w_j e^{2 pi i nu t_j}
+    the trapezoid-weighted DFT kernel, E|X_k|^2 ~ |k|^-gamma and DC 0."""
+    k = np.arange(n)
+    power = np.zeros(n)
+    power[1:] = np.minimum(k, n - k)[1:] ** -gamma
+    power *= n ** 2 / power.sum()  # Parseval: unit expected variance
+    w = np.full(n, dt)
+    w[[0, -1]] = dt / 2.0
+    kernel = np.fft.fft(w * np.exp(2j * math.pi * np.outer(f, k * dt)), axis=1)
+    return np.abs(kernel) ** 2 @ power / (n ** 2 * dt * (n - 1))
+
+
+def test_stderr_covers_the_expected_periodogram():
+    # Gaussian amplitudes make each record's periodogram exponential about
+    # E[P(f)] (S chi^2_2 / 2), on a Fourier bin and between two alike, so
+    # stderr/S is about 1/sqrt(32) and |mean - E[P]| <= 2 stderr holds at the
+    # rate it holds for the mean of 32 exponential draws: 0.923, below the
+    # 0.95 of a normal mean.  The uniform-phase synthesis this replaced gave
+    # stderr/S of 0.006 on a bin and 0.15 half a bin off.
+    rng = np.random.default_rng(0)
+    draws = rng.exponential(size=(100_000, 32))
+    stderr = draws.std(axis=1, ddof=1) / math.sqrt(32)
+    rate = np.mean(np.abs(draws.mean(axis=1) - 1.0) <= 2.0 * stderr)
+    n, dt = 1024, 1.0
+    bins = np.unique(np.round(np.geomspace(10, n // 4, 30)))
+    f = (bins[:, None] + [0.0, 0.5]).ravel() / (n * dt)  # on a bin, then half a bin off
+    hits, scatter = [], []
+    for gamma in (0.5, 1.0, 2.0):
+        expected = expected_periodogram(gamma, n, dt, f)
+        for group in range(10):
+            recs = [synthesize_power_law_noise(gamma, n, dt, seed=32 * group + i)
+                    for i in range(32)]
+            series = power_spectrum_estimate(recs, f)
+            hits.append(np.abs(series.value - expected) <= 2.0 * series.stderr)
+            scatter.append(series.stderr / series.value)
+    hits, scatter = np.concatenate(hits), np.reshape(scatter, (-1, bins.size, 2))
+    assert abs(hits.mean() - rate) <= 3.0 * math.sqrt(rate * (1.0 - rate) / hits.size)
+    for on_or_off_bin in np.median(scatter, axis=(0, 1)):
+        assert 0.14 <= on_or_off_bin <= 0.21
+
+
+def test_leakage_biases_the_fitted_slope():
+    # E[P(f)] itself falls more slowly than f^-2: the kernel's sidelobes carry
+    # the steep spectrum's low-frequency power up the grid
+    t_m = 2047.0
+    f = np.logspace(np.log10(20.0 / t_m), np.log10(0.2), 25)
+    expected_slope = np.polyfit(np.log(f), np.log(expected_periodogram(2.0, 2048, 1.0, f)), 1)[0]
+    assert expected_slope == pytest.approx(-1.985, abs=0.002)
+    assert fitted_slope(2.0) == pytest.approx(expected_slope, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
