@@ -12,6 +12,7 @@ adaptive octree quadrature provides an independent cross-check path.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -158,15 +159,22 @@ def _axis_segments(extent: float, xi: float) -> list[tuple[float, float]]:
     return [(lo, hi)]
 
 
-def _closed_form_box_integral(dims: Point, x: Point) -> float:
+def _corner_boxes(dims: Point, x: Point):
+    # the box split at x into at most 8 corner boxes (u, v) of positive
+    # volume, each with x at the origin, reflected to 0 <= u <= v
     segs = [_axis_segments(dims[i], x[i]) for i in range(3)]
-    total = 0.0
     for sx in segs[0]:
         for sy in segs[1]:
             for sz in segs[2]:
                 if sx[1] - sx[0] <= 0.0 or sy[1] - sy[0] <= 0.0 or sz[1] - sz[0] <= 0.0:
                     continue
-                total += _corner_box_integral((sx[0], sy[0], sz[0]), (sx[1], sy[1], sz[1]))
+                yield (sx[0], sy[0], sz[0]), (sx[1], sy[1], sz[1])
+
+
+def _closed_form_box_integral(dims: Point, x: Point) -> float:
+    total = 0.0
+    for u, v in _corner_boxes(dims, x):
+        total += _corner_box_integral(u, v)
     return total
 
 
@@ -176,7 +184,7 @@ def _closed_form_box_integral(dims: Point, x: Point) -> float:
 
 _GAUSS_ORDER = 8
 _ETA = 2.5          # admissibility: cell used when dist >= eta * half-diagonal
-_SIZE_FLOOR = 3e-4  # singular-cell size floor, relative to the box diagonal
+_SIZE_FLOOR = 3e-4  # singular-cell half-diagonal floor, relative to the sample box's diagonal
 _GAUSS_BATCH = 64   # admissible cells per Gauss call: 64 * 8^3 doubles per array
 
 
@@ -208,50 +216,58 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(_GAUSS_ORDER)
 
 
-def _quadrature_box_integral(dims: Point, x: Point) -> float:
-    """Octree quadrature of the box Coulomb integral.
+def _octree_corner_integral(u: Point, v: Point, floor_h: float) -> float:
+    """Octree quadrature of 1/|r| over [u1,v1]x[u2,v2]x[u3,v3], 0 <= u <= v.
 
-    Cells well separated from the singular point get a tensor Gauss rule;
-    cells containing or touching it are subdivided down to a size floor and
-    the residual singular cells are evaluated with the exact corner primitive.
+    The singular point is the origin, at the box's lower corner or outside
+    it.  Cells are walked as plain floats: a cell whose lower corner is
+    _ETA half-diagonals from the origin or farther is admissible and gets the
+    tensor Gauss rule, in batches of _GAUSS_BATCH after the walk; any other
+    cell is bisected across its longest side until its half-diagonal is at
+    most floor_h, and then integrated with the exact corner primitive.
     """
     import numpy as np
 
-    dims, x = np.array(dims), np.array(x)
-    nodes, weights = _gauss_rule()
-    floor_h = _SIZE_FLOOR * float(np.linalg.norm(dims))
     total = 0.0
-    los = np.zeros((1, 3))
-    his = dims[None, :].astype(float)
-    gauss = []  # admissible (los, his) of every level, summed after the walk
-    while len(los):
-        centers = 0.5 * (los + his)
-        halves = 0.5 * (his - los)
-        h = np.linalg.norm(halves, axis=1)
-        d = np.linalg.norm(np.maximum(np.abs(x - centers) - halves, 0.0), axis=1)
-        far = d >= _ETA * h
-        tiny = h <= floor_h
-        gauss.append((los[far], his[far]))
-        sing = np.flatnonzero(~far & tiny)
-        for i in sing:
-            total += _closed_form_box_integral((his[i] - los[i]).tolist(), (x - los[i]).tolist())
-        split = np.flatnonzero(~far & ~tiny)
-        if len(split) == 0:
-            break
-        slos, shis = los[split], his[split]
-        axis = np.argmax(shis - slos, axis=1)
-        mid = 0.5 * (slos[np.arange(len(split)), axis] + shis[np.arange(len(split)), axis])
-        left_hi = shis.copy()
-        left_hi[np.arange(len(split)), axis] = mid
-        right_lo = slos.copy()
-        right_lo[np.arange(len(split)), axis] = mid
-        los = np.concatenate([slos, right_lo])
-        his = np.concatenate([left_hi, shis])
-    los, his = (np.concatenate(cells) for cells in zip(*gauss))
-    for start in range(0, len(los), _GAUSS_BATCH):
-        stop = start + _GAUSS_BATCH
-        total += _gauss_cells(los[start:stop], his[start:stop], x, nodes, weights)
+    far = []
+    cells = [(u, v)]
+    while cells:
+        lo, hi = cells.pop()
+        ext = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
+        h = 0.5 * math.sqrt(ext[0] * ext[0] + ext[1] * ext[1] + ext[2] * ext[2])
+        if math.sqrt(lo[0] * lo[0] + lo[1] * lo[1] + lo[2] * lo[2]) >= _ETA * h:
+            far.append(lo + hi)
+        elif h <= floor_h:
+            total += _corner_box_integral(lo, hi)
+        else:
+            axis = ext.index(max(ext))
+            mid = 0.5 * (lo[axis] + hi[axis])
+            cells.append((lo, hi[:axis] + (mid,) + hi[axis + 1:]))
+            cells.append((lo[:axis] + (mid,) + lo[axis + 1:], hi))
+    nodes, weights = _gauss_rule()
+    boxes, origin = np.array(far), np.zeros(3)
+    for start in range(0, len(boxes), _GAUSS_BATCH):
+        batch = boxes[start:start + _GAUSS_BATCH]
+        total += _gauss_cells(batch[:, :3], batch[:, 3:], origin, nodes, weights)
     return total
+
+
+def _quadrature_box_integral(dims: Point, x: Point) -> float:
+    """Octree quadrature of the box Coulomb integral.
+
+    The box is split at the evaluation point into at most 8 corner boxes,
+    each with the point at its corner or outside it (the split the closed
+    form makes).  Each distinct corner box is integrated once by
+    _octree_corner_integral and counted as often as it occurs, so a probe at
+    the centre of a face takes one quarter-box walk.  Cells well separated
+    from the point get a tensor Gauss rule; cells touching it are bisected
+    until their half-diagonal is _SIZE_FLOOR times the diagonal of the whole
+    box `dims`, and the residual singular cells are evaluated with the exact
+    corner primitive.
+    """
+    floor_h = _SIZE_FLOOR * math.sqrt(dims[0] ** 2 + dims[1] ** 2 + dims[2] ** 2)
+    counts = collections.Counter(_corner_boxes(dims, x))
+    return sum(n * _octree_corner_integral(u, v, floor_h) for (u, v), n in counts.items())
 
 
 def _box_integral(dims: Point, x: Point, method: str) -> float:

@@ -195,6 +195,37 @@ def _phase_tables(f: np.ndarray, dt: float, block: int) -> tuple[np.ndarray, np.
     return tables
 
 
+def _two_product(a, b):
+    """(p, e) with p = a*b rounded and p + e = a*b exactly (Dekker 1971).
+
+    Veltkamp's splitter 2^27 + 1 cuts each factor into two 26-bit halves,
+    whose four products are exact; past about 1e300 the split overflows.
+    """
+    def split(v):
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _cycle_fraction(f: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """f * (k * dt) less its nearest integer: the phase of sample k, in cycles.
+
+    Both products are carried with their rounding errors, so the whole cycles
+    (about 1.5e4 at the last block of n = 2^16) are dropped before anything
+    but the small error terms is rounded.
+    """
+    t, t_err = _two_product(float(k), dt)
+    c, c_err = _two_product(f, t)
+    err = c_err + f * t_err
+    # where a split overflowed, the rounded product alone is kept
+    frac = (c - np.round(c)) + np.where(np.isfinite(err), err, 0.0)
+    return frac - np.round(frac)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported at the end
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid.
@@ -228,8 +259,7 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
             x[:, -1] *= 0.5
         a = x @ cos_table[:, :hi - lo].T                                    # (n_rec, n_f)
         b = x @ sin_table[:, :hi - lo].T
-        cycles = f * (lo * dt)
-        theta = 2.0 * math.pi * (cycles - np.round(cycles))  # one cycle, then radians
+        theta = 2.0 * math.pi * _cycle_fraction(f, lo, dt)
         sin_theta, cos_theta = np.sin(theta), np.cos(theta)
         us += sin_theta * a + cos_theta * b
         uc += cos_theta * a - sin_theta * b

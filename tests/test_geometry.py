@@ -6,6 +6,7 @@ integrals, one per face.  This shares no code with the closed-form corner
 primitive or the adaptive quadrature under test.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from flickerfloor import geometry
 from flickerfloor.workbench import bundled_config_text, load_catalog
 from flickerfloor.geometry import (
     GeometryError,
@@ -51,6 +53,21 @@ CLOSED_FORM_G = {  # (catalog, sample): (longitudinal, transverse g), cm^-1
     ("ybco", "film"): (5.80362631225493, 0.1553619718211278),
     ("gaas_piezo", "bar"): (1256.915783619522, 100.18704476365954),
 }
+# g of every catalog pair, rounded to double from a 60-digit mpmath sum of the
+# corner primitive at the exact binary dimensions (the benchmark's references)
+REFERENCE_G = {  # (catalog, sample): (longitudinal, transverse g), cm^-1
+    ("ingaas", "V1"): (9609.60670553685, 2308.5341354355105),
+    ("ingaas", "V1.5"): (6411.674164559561, 1540.1128884959433),
+    ("ingaas", "V2"): (5134.426162540667, 1467.3209598071408),
+    ("ingaas", "V5"): (1256.9157836188838, 100.18704476362215),
+    ("ingaas", "V80"): (82.42954353457384, 7.408179307020917),
+    ("ybco", "bulk-B"): (7.890849846868358, 7.890849846868358),
+    ("ybco", "film"): (5.803626312264334, 0.15536197182196868),
+    ("gaas_piezo", "bar"): (1256.9157836188838, 100.18704476362215),
+}
+# the closed form's worst catalog pair and its error against REFERENCE_G: the
+# 8-term corner sum cancels on the 85 nm film (condition number 5.3e4)
+CLOSED_FORM_WORST = (("ybco", "film", "transverse"), 5.41e-12)
 CLOSED_FORM_POINTS = [  # points of the box (1, 0.7, 0.4) and the integral, cm^2
     ((0.3, 0.2, 0.1), 0.8469212525228589),      # interior
     ((0.5, 0.35, 0.2), 0.953396798964545),      # center
@@ -174,7 +191,7 @@ def test_quadrature_matches_closed_form_on_random_pairs():
             x = rng.uniform(-2.0, 2.0, size=3) * np.asarray(dims)  # anywhere
         closed = box_integral(dims, x)
         quad = box_integral(dims, x, method="quadrature")
-        assert quad == pytest.approx(closed, rel=1e-6)
+        assert quad == pytest.approx(closed, rel=1e-12)
 
 
 def test_non_finite_point_rejected():
@@ -296,6 +313,78 @@ def test_quadrature_mirror_pairs_within_1e_14():
         quad = factor(geom, probes, method="quadrature").value.to("cm^-1")
         assert quad == pytest.approx(two_integral_factor(geom, probes, factor, "quadrature"),
                                      rel=1e-14, abs=0), label
+
+
+def reference_errors(method):
+    """{(catalog, sample, mode): relative error of g against REFERENCE_G}."""
+    errors = {}
+    for label, geom, probes, factor in catalog_pairs():
+        catalog, sample = label.split()[0].split("/")
+        mode = "transverse" if factor is geometric_factor_transverse else "longitudinal"
+        want = REFERENCE_G[catalog, sample][mode == "transverse"]
+        errors[catalog, sample, mode] = abs(
+            factor(geom, probes, method=method).value.to("cm^-1") / want - 1.0)
+    return errors
+
+
+def test_quadrature_g_within_1e_14_of_references():
+    errors = reference_errors("quadrature")
+    assert len(errors) == 16
+    assert max(errors.values()) <= 1e-14, errors
+
+
+def test_closed_form_g_error_against_references_is_recorded():
+    # the worst pair stays within its recorded error; every other pair is
+    # below 4.1e-12 (V80 longitudinal reads 4.0e-12)
+    pair, recorded = CLOSED_FORM_WORST
+    errors = reference_errors("closed_form")
+    assert errors.pop(pair) <= recorded * 1.001
+    assert max(errors.values()) <= 4.1e-12, errors
+
+
+@pytest.fixture
+def octree_runs(monkeypatch):
+    """Arguments of every corner-box octree walk made while the test runs."""
+    runs = []
+    real = geometry._octree_corner_integral
+    monkeypatch.setattr(geometry, "_octree_corner_integral",
+                        lambda *args: runs.append(args) or real(*args))
+    return runs
+
+
+def test_catalog_pair_takes_one_octree_walk(octree_runs):
+    # a mirror pair takes one integral, and a probe at the centre of a face
+    # splits the box into four bit-equal quarters
+    for label, geom, probes, factor in catalog_pairs():
+        octree_runs.clear()
+        factor(geom, probes, method="quadrature")
+        assert len(octree_runs) == 1, label
+
+
+@pytest.mark.parametrize("point, runs", [
+    ((0.3, 0.2, 0.1), 8),     # off-centre interior
+    ((0.5, 0.35, 0.2), 1),    # centre: eight bit-equal octants
+    ((0.0, 0.2, 0.1), 4),     # face
+    ((0.3, 0.7, 0.0), 2),     # edge
+    ((1.0, 0.0, 0.4), 1),     # corner
+])
+def test_distinct_corner_boxes_are_walked_once(octree_runs, point, runs):
+    dims = (1.0, 0.7, 0.4)
+    quad = box_integral(dims, point, method="quadrature")
+    assert len(octree_runs) == runs
+    assert quad == pytest.approx(box_integral(dims, point), rel=1e-14)
+
+
+@pytest.mark.parametrize("side", [s for s in itertools.product((-1, 0, 1), repeat=3)
+                                  if s != (0, 0, 0)])
+def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(octree_runs, side):
+    # a point beyond a face, an edge or a corner splits the box in 4, 2 or 1
+    dims = (1.0, 0.7, 0.4)
+    point = tuple(0.3 * d if s == 0 else (-0.25 * d if s < 0 else 1.4 * d)
+                  for s, d in zip(side, dims))
+    quad = box_integral(dims, point, method="quadrature")
+    assert len(octree_runs) == 2 ** side.count(0)
+    assert quad == pytest.approx(box_integral(dims, point), rel=1e-14)
 
 
 def test_quadrature_factor_peak_memory_under_1_mb():

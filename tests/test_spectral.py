@@ -443,6 +443,30 @@ def test_factored_phase_table_matches_direct_trig(n):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is plain double here")
+def test_block_rotation_is_reduced_without_rounding_the_cycles():
+    # the last of 16 blocks at n = 2^16 starts 1.5e4 cycles in at f = 0.25/dt;
+    # rounding f * t_lo before taking one cycle off left 6.7e-13 against an
+    # extended-precision direct sum, the exact reduction 1.4e-13
+    n, dt = 2 ** 16, 1.0
+    recs = [synthesize_power_law_noise(1.0, n, dt, seed=s) for s in range(8)]
+    f = np.logspace(np.log10(10.0 / (n - 1)), np.log10(0.25), 16)
+    ld = np.longdouble
+    t = np.arange(n).astype(ld) * ld(dt)
+    x = np.stack([r.samples for r in recs]).astype(ld) * ld(dt)
+    x[:, [0, -1]] *= 0.5  # trapezoid weights
+    two_pi = 8 * np.arctan(ld(1))
+    want = []
+    for fj in f:
+        cycles = ld(fj) * t
+        phase = two_pi * (cycles - np.round(cycles))
+        power = (x @ np.sin(phase)) ** 2 + (x @ np.cos(phase)) ** 2
+        want.append(np.mean(power) / ld(dt * (n - 1)))
+    got = power_spectrum_estimate(recs, f).value
+    assert float(np.max(np.abs(got / np.array(want) - 1))) < 3e-13
+
+
 def traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:

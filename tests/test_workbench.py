@@ -239,6 +239,16 @@ def test_verification_suite_passes():
     assert report.rows and not report.failures
 
 
+def test_verification_suite_case_names_are_unique():
+    # "t_m=1e4" and "t_m=10000" once named the same case: compare the wk rows
+    # by the value of t_m, not by its spelling
+    cases = [row["case"] for row in run_verification_suite().rows]
+    assert len(set(cases)) == len(cases)
+    wk_tm = [float(case.split("t_m=")[1].rstrip(")")) for case in cases
+             if case.startswith("wk_identity(")]
+    assert sorted(wk_tm) == [1e3, 1e4, 1e5]
+
+
 def test_verification_suite_computes_each_wk_case_once(monkeypatch):
     # t_m = 1e4 was once computed twice, for the first row and the trend rows
     calls = []
