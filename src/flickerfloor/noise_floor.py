@@ -103,20 +103,14 @@ class ValidityBound:
 
 @dataclass(frozen=True)
 class NoiseFloorModel:
-    """Evaluated floor: kappa (with the (f*)^delta factor folded in), gamma,
-    corner scale f*, and validity limit fmax."""
+    """Evaluated floor: kappa (with the (f*)^delta factor folded in), gamma
+    = 1 + delta, and validity limit fmax."""
 
     kappa: float
     gamma: float
-    fstar: Quantity
     fmax: Quantity
-    configuration: str
     bound: ValidityBound
     caveats: tuple[str, ...] = ()
-
-    @property
-    def delta(self) -> float:
-        return self.gamma - 1.0
 
 
 def kappa(g: GeometricFactor, material: Material, single_species: bool = False) -> float:
@@ -204,14 +198,12 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
             caveats.append("no piezo data; gamma=1")
         if delta > 0:
             caveats.append("state filling smears the effective delta; empty-band value used")
-    fstar = corner_frequency(material)
     k = kappa(g, material, single_species=single_species)
     if delta > 0:
         # f* enters in Hz; the exponent shift makes kappa carry Hz^delta
-        k *= fstar.to("Hz") ** delta
+        k *= corner_frequency(material).to("Hz") ** delta
     bound = validity_bound(material, geom)
-    return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fstar=fstar, fmax=bound.fmax,
-                           configuration=configuration, bound=bound,
+    return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fmax=bound.fmax, bound=bound,
                            caveats=tuple(caveats))
 
 

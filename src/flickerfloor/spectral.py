@@ -17,15 +17,16 @@ stays finite as tm grows.  Its quadrature takes Gauss-Legendre panels over
 the first few periods and Filon-Clenshaw-Curtis panels, doubling in length,
 beyond them, so its cost grows like log(f tm); both terms share every panel,
 so their log(tm)-sized oscillating pieces cancel without losing the -pi/|w|
-residual.
+residual.  One routine weights, rotates and budgets every Gauss panel.
 
 No phase is taken from a large argument: the kernels' panel edges sit at
 whole periods, whose phases are small multiples of the exactly computed
 amount by which omega * period misses 2 pi, and the estimator reuses one
-block's phase table, rotated by each block's start angle reduced to one cycle.
-That table is assembled by angle addition from two tables of about sqrt(block)
-phases each, and the noise synthesizer draws Gaussian Fourier amplitudes, so
-neither takes a trig function per sample.
+block's phase table, rotated by each block's start angle.  That table is
+assembled by angle addition from two tables of about sqrt(block) phases
+each, and all its angles, like the block angles, are reduced to one cycle
+exactly before they are rounded.  The noise synthesizer draws Gaussian
+Fourier amplitudes, so neither takes a trig function per sample.
 """
 
 from __future__ import annotations
@@ -104,20 +105,18 @@ class SpectrumSeries:
 class CovarianceModel:
     """Covariance S(tau) models for the Sigma(f) construction.
 
-    kinds: "log-law"  amplitude * ln(a_cov + (tau/tau0)^2)
-           "exponential"  amplitude * exp(-|tau|/tau0)
-           "constant"  amplitude
+    kinds: "log-law"  ln(a_cov + (tau/tau0)^2)
+           "exponential"  exp(-|tau|/tau0)
            "user-function"  func(tau), vectorized over numpy arrays
     """
 
     kind: str
     tau0: float = 1.0
     a_cov: float = 1.0
-    amplitude: float = 1.0
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("log-law", "exponential", "constant", "user-function"):
+        if self.kind not in ("log-law", "exponential", "user-function"):
             raise SpectralError(f"unknown covariance kind '{self.kind}'")
         if not self.tau0 > 0:
             raise SpectralError("tau0 must be positive")
@@ -135,15 +134,13 @@ class CovarianceModel:
             far = t > 1e150 * self.tau0
             near = np.log(self.a_cov + (np.where(far, 0.0, t) / self.tau0) ** 2)
             if not far.any():
-                return self.amplitude * near
+                return near
             t = np.where(far, t, self.tau0)
             log_far = (2.0 * (np.log(t) - math.log(self.tau0))
                        + np.log1p(self.a_cov * (self.tau0 / t) ** 2))
-            return self.amplitude * np.where(far, log_far, near)
+            return np.where(far, log_far, near)
         if self.kind == "exponential":
-            return self.amplitude * np.exp(-np.abs(tau) / self.tau0)
-        if self.kind == "constant":
-            return np.full_like(tau, self.amplitude)
+            return np.exp(-np.abs(tau) / self.tau0)
         return np.asarray(self.func(tau), dtype=float)
 
 
@@ -174,25 +171,20 @@ def _phase_tables(f: np.ndarray, dt: float, block: int) -> tuple[np.ndarray, np.
     """cos and sin of 2 pi f t_j at t_j = j dt, j < block, as (n_f, block) arrays.
 
     With j = m q + r, the angle-addition formulas are rank-2 matrix products of
-    short tables, written straight into the two tables:
+    short tables, whose angles are reduced to one cycle before they are rounded:
 
         cos(a_q + b_r) = [cos a_q, -sin a_q] @ [cos b_r; sin b_r],
         sin(a_q + b_r) = [sin a_q,  cos a_q] @ [cos b_r; sin b_r].
     """
     m = min(block, _PHASE_SPLIT)
     rows = -(-block // m)
-    tables = np.empty((f.size, block)), np.empty((f.size, block))
-    fine = 2.0 * math.pi * np.outer(f, np.arange(m) * dt)                   # b_r
-    coarse = 2.0 * math.pi * np.outer(f, np.arange(rows) * (m * dt))        # a_q
-    right = np.stack([np.cos(fine), np.sin(fine)], axis=1)                  # (n_f, 2, m)
+    fine = 2.0 * math.pi * _cycle_fraction(f[:, None], np.arange(m), dt)           # b_r
+    coarse = 2.0 * math.pi * _cycle_fraction(f[:, None], m * np.arange(rows), dt)  # a_q
+    right = np.stack([np.cos(fine), np.sin(fine)], axis=1)                        # (n_f, 2, m)
     cos_a, sin_a = np.cos(coarse), np.sin(coarse)
-    full = block - block % m  # a ragged block's last row is shorter
-    for table, left in zip(tables, (np.stack([cos_a, -sin_a], axis=2),
-                                    np.stack([sin_a, cos_a], axis=2))):     # (n_f, rows, 2)
-        np.matmul(left[:, :full // m], right, out=table[:, :full].reshape(f.size, full // m, m))
-        if full < block:
-            np.matmul(left[:, -1:], right[:, :, :block - full], out=table[:, None, full:])
-    return tables
+    # left is (n_f, rows, 2); a ragged block's last row is cut from the product
+    return tuple((np.stack(left, axis=2) @ right).reshape(f.size, rows * m)[:, :block]
+                 for left in ((cos_a, -sin_a), (sin_a, cos_a)))
 
 
 def _two_product(a, b):
@@ -211,14 +203,15 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _cycle_fraction(f: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """f * (k * dt) less its nearest integer: the phase of sample k, in cycles.
+def _cycle_fraction(f: np.ndarray, k, dt: float) -> np.ndarray:
+    """f * (k * dt) less its nearest integer: the phase of sample k, in cycles,
+    for an index or an array of indices k that broadcasts against f.
 
     Both products are carried with their rounding errors, so the whole cycles
     (about 1.5e4 at the last block of n = 2^16) are dropped before anything
     but the small error terms is rounded.
     """
-    t, t_err = _two_product(float(k), dt)
+    t, t_err = _two_product(np.asarray(k, dtype=float), dt)
     c, c_err = _two_product(f, t)
     err = c_err + f * t_err
     # where a split overflowed, the rounded product alone is kept
@@ -230,7 +223,8 @@ def _cycle_fraction(f: np.ndarray, k: int, dt: float) -> np.ndarray:
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid.
 
-    A spectrum that overflows the float range is a SpectralError naming dt.
+    A spectrum that overflows the float range, or one that is a normal double
+    while its Us^2 + Uc^2 underflows, is a SpectralError naming dt and n.
     """
     if len(ensemble) < 1:
         raise SpectralError("ensemble must contain at least one record")
@@ -263,8 +257,15 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
         sin_theta, cos_theta = np.sin(theta), np.cos(theta)
         us += sin_theta * a + cos_theta * b
         uc += cos_theta * a - sin_theta * b
-    t_m = ensemble[0].t_m
-    p = (us ** 2 + uc ** 2) / t_m
+    t_m, tiny = ensemble[0].t_m, np.finfo(float).tiny
+    power = us ** 2 + uc ** 2
+    # below the normal range Us^2 + Uc^2 loses digits, and a spectrum that is
+    # itself a normal double would come out wrong or 0
+    lost, root = power < tiny, math.sqrt(t_m)
+    if lost.any() and np.any(lost & ((us / root) ** 2 + (uc / root) ** 2 >= tiny)):
+        raise SpectralError(f"power_spectrum_estimate: Us^2 + Uc^2 underflows "
+                            f"at dt = {dt:g} s, n = {n}")
+    p = power / t_m
     mean = p.mean(axis=0)
     if len(ensemble) > 1:
         stderr = p.std(axis=0, ddof=1) / math.sqrt(len(ensemble))
@@ -296,7 +297,7 @@ _CHEB_TOL = 1e-14
 # Chebyshev panels evaluated together; a batch whose panels all fall back to
 # the Gauss rule holds about 1.5 MB
 _PANEL_BATCH = 64
-# work budget: the most Chebyshev and per-period Gauss panels one quadrature
+# work budget: the most Chebyshev and Gauss panels one quadrature
 # may evaluate.  Smooth integrands take a few dozen (under 60 at f t_m = 1e12);
 # one that never resolves on 8 periods takes about 1.3 f t_m, near 0.5 s per
 # 1e5 periods, so the budget stops such a call within about 20 s
@@ -371,7 +372,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     n = math.floor(t_m / period)
     drift = float(Fraction(w) * Fraction(period) - _TWO_PI)
     gauss_nodes, gauss_weights, cheb_nodes, to_coeffs, at_one, at_minus_one = _panel_tables()
-    used = 0
+    used, total, scale = 0, 0j, 0.0
 
     def spend(panels):  # the work budget, charged before the panels are evaluated
         nonlocal used
@@ -382,33 +383,35 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
                 "quadrature panels, the work budget: the integrand does not become "
                 "smooth on the scale of several periods")
 
-    local = 0.5 * period * (1.0 + gauss_nodes)
-    table = 0.5 * period * gauss_weights * np.exp(1j * w * local)
-
-    # products of real and complex factors are taken as real products: a
-    # complex BLAS product keeps about 0.25 MB more resident in the process
-    def periods(k):  # Gauss panels [kP, (k+1)P]: sums and max |g| per row
+    def gauss(k, lo=0.0, hi=period):
+        """Add the Gauss panels [kP + lo, kP + hi] to total and their max |g|
+        to scale; scalar lo and hi share one weight table, columns do not."""
+        nonlocal total, scale
         spend(k.size)
-        values = g((k[:, None] * period + local).ravel()).reshape(-1, k.size, _NODES_PER_PANEL)
-        sums = (values @ table.real + 1j * (values @ table.imag)) * np.exp(1j * drift * k)
-        return sums.sum(axis=1), np.abs(values).max(axis=(1, 2))
+        half = 0.5 * (hi - lo)
+        nodes = lo + half * (1.0 + gauss_nodes)  # (nodes,) or (k.size, nodes)
+        weights = half * gauss_weights * np.exp(1j * w * nodes)
+        values = g((k[:, None] * period + nodes).ravel()).reshape(-1, k.size, _NODES_PER_PANEL)
+        if weights.ndim == 1:
+            # one table: a BLAS product, taken as two real ones, since a
+            # complex one keeps about 0.25 MB more resident in the process
+            sums = values @ weights.real + 1j * (values @ weights.imag)
+        else:
+            sums = np.einsum("rpn,pn->rp", values, weights)
+        total = total + (sums * np.exp(1j * drift * k)).sum(axis=1)
+        scale = np.maximum(scale, np.abs(values).max(axis=(1, 2)))
 
-    # irregular Gauss panels: the head below the first period, and [nP, t_m]
+    # (k, lo, hi) of the head below the first period, of periods 1 to
+    # _GAUSS_PERIODS - 1 and of [nP, t_m], evaluated in one batch
     first = min(period, t_m)
     edges = np.unique([e for e in head if e < first] + [first])
-    k, lo, hi = np.zeros(edges.size - 1), edges[:-1], edges[1:]
+    panels = [(0.0, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    panels += [(k, 0.0, period) for k in range(1, min(n, _GAUSS_PERIODS))]
     last = float(Fraction(t_m) - n * Fraction(period))
     if n >= 1 and last != 0.0:
-        k, lo, hi = np.append(k, float(n)), np.append(lo, 0.0), np.append(hi, last)
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * gauss_nodes
-    values = g((k[:, None] * period + nodes).ravel())
-    weights = half[:, None] * gauss_weights * np.exp(1j * (w * nodes + drift * k[:, None]))
-    weights = weights.ravel()
-    total, scale = values @ weights.real + 1j * (values @ weights.imag), np.abs(values).max(axis=1)
-    if n > 1:
-        sums, peak = periods(np.arange(1.0, min(n, _GAUSS_PERIODS)))
-        total, scale = total + sums, np.maximum(scale, peak)
+        panels.append((float(n), 0.0, last))
+    k, lo, hi = map(np.array, zip(*panels))
+    gauss(k, lo[:, None], hi[:, None])
 
     stack, start = [], _GAUSS_PERIODS  # (first period, periods) of each doubling panel
     while start < n:
@@ -437,10 +440,8 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
             stack += [(begin, span // 2), (begin + span // 2, span - span // 2)]
         rest = ~done & ~split
         if rest.any():
-            k = np.concatenate([np.arange(begin, begin + span)
-                                for begin, span in zip(start[rest], count[rest])])
-            sums, peak = periods(k)
-            total, scale = total + sums, np.maximum(scale, peak)
+            gauss(np.concatenate([np.arange(begin, begin + span)
+                                  for begin, span in zip(start[rest], count[rest])]))
     return total if omega > 0 else total.conj()
 
 
@@ -536,47 +537,44 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)  # an ensemble draws every record with one key
-def _amplitude_profile(gamma: float, n: int, variance: float) -> np.ndarray:
+def _amplitude_profile(gamma: float, n: int) -> np.ndarray:
     """Standard deviation of the real and of the imaginary part of each rfft bin.
 
     s_k ~ k^(-gamma/2), or f_k^(-gamma/2) up to a factor that the scaling
     removes; the DC bin is 0, and the real Nyquist bin gets sqrt(2) s_k so
     that E|X_k|^2 ~ f_k^(-gamma) on every bin.  By Parseval the expected mean
     square of irfft(X) is the sum of E|X_k|^2 over the full spectrum over n^2,
-    which the profile is scaled to make `variance`.  Read-only: it is shared.
+    which the profile is scaled to make 1.  Read-only: it is shared.
     """
     sd = np.zeros(n // 2 + 1)
     sd[1:] = np.arange(1, n // 2 + 1) ** (-gamma / 2.0)
     sd[-1] *= math.sqrt(2.0)
     expected = (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2
-    sd *= math.sqrt(variance / expected)
+    sd *= math.sqrt(1.0 / expected)
     sd.flags.writeable = False
     return sd
 
 
-def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int,
-                               variance: float = 1.0) -> SignalRecord:
+def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int) -> SignalRecord:
     """Deterministic Gaussian 1/f^gamma noise (Timmer & Koenig 1995, A&A 300, 707).
 
     Each rfft bin k > 0 gets independent Gaussian real and imaginary parts of
     standard deviation ~ f_k^(-gamma/2), drawn from default_rng(seed); the
     DC bin is 0 and the Nyquist bin is real.  The profile is scaled so that
-    the expected sample variance is `variance`: each record's own variance
-    scatters about it, as its periodogram scatters about the spectrum (as
-    S chi^2_2 / 2 on a bin).  gamma must lie in [0, 2] and n must be a power
-    of two.
+    the expected sample variance is 1: each record's own variance scatters
+    about it, as its periodogram scatters about the spectrum (as S chi^2_2 / 2
+    on a bin).  gamma must lie in [0, 2] and n must be a power of two.
     """
     if not 0.0 <= gamma <= 2.0:
         raise SpectralError(f"gamma must be in [0, 2], got {gamma}")
     if n < 2 or n & (n - 1):
         raise SpectralError(f"n must be a power of two >= 2, got {n}")
-    for name, value in (("dt", dt), ("variance", variance)):
-        if not (math.isfinite(value) and value > 0):
-            raise SpectralError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise SpectralError(f"dt must be finite and positive, got {dt}")
     spectrum = np.empty(n // 2 + 1, dtype=complex)
     parts = spectrum.view(float).reshape(-1, 2)  # (bins, real and imaginary part)
     np.random.default_rng(seed).standard_normal(out=parts)
-    parts *= _amplitude_profile(gamma, n, variance)[:, None]
+    parts *= _amplitude_profile(gamma, n)[:, None]
     parts[-1, 1] = 0.0  # the Nyquist bin is real
     return SignalRecord(samples=np.fft.irfft(spectrum, n=n), dt=dt)
 

@@ -168,7 +168,7 @@ def test_sigma_constant_covariance_vanishes():
     # both finite integrals reduce to boundary terms that cancel up to
     # 2c(1 - cos(omega t_m))/(omega^2 t_m), which vanishes as t_m grows
     c = 4.0
-    cov = CovarianceModel(kind="constant", amplitude=c)
+    cov = CovarianceModel(kind="user-function", func=lambda tau: np.full_like(tau, c))
     f = 0.1
     omega = 2.0 * math.pi * f
     for t_m in (1e3, 1e4, 1e5):
@@ -446,25 +446,27 @@ def test_factored_phase_table_matches_direct_trig(n):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is plain double here")
 def test_block_rotation_is_reduced_without_rounding_the_cycles():
-    # the last of 16 blocks at n = 2^16 starts 1.5e4 cycles in at f = 0.25/dt;
-    # rounding f * t_lo before taking one cycle off left 6.7e-13 against an
-    # extended-precision direct sum, the exact reduction 1.4e-13
-    n, dt = 2 ** 16, 1.0
-    recs = [synthesize_power_law_noise(1.0, n, dt, seed=s) for s in range(8)]
-    f = np.logspace(np.log10(10.0 / (n - 1)), np.log10(0.25), 16)
+    # the last of 16 blocks at n = 2^16 starts 1.5e4 cycles in at f = 0.25/dt,
+    # and the phase table reaches 1e3 cycles; rounding f * t before taking the
+    # whole cycles off left 1.4e-13 (dt = 1) and 3.7e-13 (dt = 0.1) against an
+    # extended-precision direct sum, the exact reduction about 3e-15
+    n = 2 ** 16
     ld = np.longdouble
-    t = np.arange(n).astype(ld) * ld(dt)
-    x = np.stack([r.samples for r in recs]).astype(ld) * ld(dt)
-    x[:, [0, -1]] *= 0.5  # trapezoid weights
     two_pi = 8 * np.arctan(ld(1))
-    want = []
-    for fj in f:
-        cycles = ld(fj) * t
-        phase = two_pi * (cycles - np.round(cycles))
-        power = (x @ np.sin(phase)) ** 2 + (x @ np.cos(phase)) ** 2
-        want.append(np.mean(power) / ld(dt * (n - 1)))
-    got = power_spectrum_estimate(recs, f).value
-    assert float(np.max(np.abs(got / np.array(want) - 1))) < 3e-13
+    for dt in (1.0, 0.1):
+        recs = [synthesize_power_law_noise(1.0, n, dt, seed=s) for s in range(8)]
+        f = np.logspace(np.log10(10.0 / ((n - 1) * dt)), np.log10(0.25 / dt), 16)
+        t = np.arange(n).astype(ld) * ld(dt)
+        x = np.stack([r.samples for r in recs]).astype(ld) * ld(dt)
+        x[:, [0, -1]] *= 0.5  # trapezoid weights
+        want = []
+        for fj in f:
+            cycles = ld(fj) * t
+            phase = two_pi * (cycles - np.round(cycles))
+            power = (x @ np.sin(phase)) ** 2 + (x @ np.cos(phase)) ** 2
+            want.append(np.mean(power) / ld(dt * (n - 1)))
+        got = power_spectrum_estimate(recs, f).value
+        assert float(np.max(np.abs(got / np.array(want) - 1))) < 2e-14, dt
 
 
 def traced_peak_mb(fn, *args):
@@ -558,8 +560,8 @@ def test_synthesis_is_deterministic():
 
 
 def test_synthesis_white_variance():
-    rec = synthesize_power_law_noise(0.0, 2 ** 16, 1.0, seed=5, variance=2.5)
-    assert np.var(rec.samples) == pytest.approx(2.5, rel=0.05)
+    rec = synthesize_power_law_noise(0.0, 2 ** 16, 1.0, seed=5)
+    assert np.var(rec.samples) == pytest.approx(1.0, rel=0.05)
 
 
 def test_synthesis_validation():
@@ -571,14 +573,11 @@ def test_synthesis_validation():
         synthesize_power_law_noise(1.0, 1000, 1.0, seed=0)  # not a power of two
 
 
-@pytest.mark.parametrize("dt, variance, name", [
-    (math.inf, 1.0, "dt"), (math.nan, 1.0, "dt"),
-    (1.0, math.inf, "variance"), (1.0, math.nan, "variance"),
-])
-def test_synthesis_rejects_non_finite_inputs_by_name(dt, variance, name):
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_synthesis_rejects_non_finite_inputs_by_name(dt):
     # dt=inf once ended in "signal samples must be finite" after an irfft warning
-    with pytest.raises(SpectralError, match=f"^{name} must be finite"):
-        synthesize_power_law_noise(1.0, 1024, dt, seed=0, variance=variance)
+    with pytest.raises(SpectralError, match="^dt must be finite"):
+        synthesize_power_law_noise(1.0, 1024, dt, seed=0)
 
 
 def fitted_slope(gamma, n_seeds=100, n=2048, dt=1.0):
@@ -595,20 +594,19 @@ def test_pink_noise_pipeline_recovers_slope():
 
 
 def test_synthesis_scales_to_the_expected_variance():
-    # Parseval: the profile's expected mean square is the variance asked for;
-    # each record's own variance scatters about it instead of equalling it
-    n, variance = 1024, 2.5
-    sd = spectral._amplitude_profile(1.0, n, variance)
+    # Parseval: the profile's expected mean square is 1; each record's own
+    # variance scatters about it instead of equalling it
+    n = 1024
+    sd = spectral._amplitude_profile(1.0, n)
     assert sd[0] == 0.0
     power = 2.0 * sd[1:] ** 2  # E|X_k|^2, real and imaginary part
     power[-1] = sd[-1] ** 2    # the Nyquist bin has a real part only
     np.testing.assert_allclose(power * np.arange(1, n // 2 + 1), power[0], rtol=1e-13)
-    assert (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2 == pytest.approx(variance,
-                                                                             rel=1e-12)
-    mean_square = np.array([np.mean(synthesize_power_law_noise(
-        1.0, n, 0.5, seed=s, variance=variance).samples ** 2) for s in range(400)])
-    assert abs(mean_square.mean() - variance) < 3.0 * mean_square.std() / math.sqrt(400)
-    assert mean_square.std() > 0.1 * variance
+    assert (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2 == pytest.approx(1.0, rel=1e-12)
+    mean_square = np.array([np.mean(synthesize_power_law_noise(1.0, n, 0.5, seed=s).samples ** 2)
+                            for s in range(400)])
+    assert abs(mean_square.mean() - 1.0) < 3.0 * mean_square.std() / math.sqrt(400)
+    assert mean_square.std() > 0.1
 
 
 def test_white_synthesis_is_flat_up_to_the_nyquist_bin():
@@ -626,7 +624,7 @@ def test_synthesis_keeps_one_read_only_profile():
     for s in range(32):  # one ensemble, one key
         synthesize_power_law_noise(1.0, 256, 1.0, seed=s)
     assert spectral._amplitude_profile.cache_info().hits == 31
-    profile = spectral._amplitude_profile(1.0, 256, 1.0)
+    profile = spectral._amplitude_profile(1.0, 256)
     with pytest.raises(ValueError):
         profile[1] = 0.0
     synthesize_power_law_noise(0.5, 512, 1.0, seed=0)

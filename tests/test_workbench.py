@@ -328,6 +328,25 @@ def test_cli_estimate_overflow_names_dt_and_estimator(capsys):
     assert "Warning" not in captured.err
 
 
+def test_cli_estimate_underflow_names_dt_and_n(capsys):
+    # Us^2 + Uc^2 near 1e-337 once underflowed to 0 and printed S = 0 with exit 0
+    assert cli.main(["estimate", "--n", "4096", "--dt", "1e-170", "--records", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power_spectrum_estimate")
+    assert "dt = 1e-170" in captured.err and "n = 4096" in captured.err
+    assert "Warning" not in captured.err
+
+
+def test_cli_estimate_rejects_a_record_too_short_for_its_grid(capsys):
+    # at n <= 41 the grid 10/t_m .. 0.25/dt runs backwards
+    assert cli.main(["estimate", "--n", "32", "--records", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --n 32")
+    assert cli.main(["estimate", "--n", "64", "--records", "2"]) == 0
+    assert capsys.readouterr().out.startswith("f,S,stderr")
+
+
 def test_cli_spectrum_marks_points_beyond_validity(capsys):
     entries, _ = load_catalog(bundled_config_text("ingaas"))
     v80 = next(e for e in entries if e.sample_id == "V80")
