@@ -195,6 +195,12 @@ def cmd_estimate(args) -> int:
     if args.n <= 41:
         raise ConfigError(f"--n {args.n}: must exceed 41, or the frequency grid "
                           "from 10/t_m to 0.25/dt runs backwards")
+    t_m = args.dt * (args.n - 1)
+    # a dt that is not itself finite and positive is the synthesizer's error
+    if 0 < args.dt < math.inf and not all(0 < end < math.inf
+                                          for end in (10.0 / t_m, 0.25 / args.dt)):
+        raise ConfigError(f"--dt {args.dt:g}: the frequency grid from 10/t_m to 0.25/dt "
+                          f"leaves the float range at --n {args.n}")
     import numpy as np
 
     from . import spectral
@@ -202,7 +208,6 @@ def cmd_estimate(args) -> int:
     records = [spectral.synthesize_power_law_noise(args.gamma, args.n, args.dt,
                                                    seed=args.seed + i)
                for i in range(args.records)]
-    t_m = args.dt * (args.n - 1)
     f = np.logspace(np.log10(10.0 / t_m), np.log10(0.25 / args.dt), 60)
     series = spectral.power_spectrum_estimate(records, f)
     _emit(spectral.spectrum_csv_text(series), args.output)

@@ -188,20 +188,17 @@ _SIZE_FLOOR = 3e-4  # singular-cell half-diagonal floor, relative to the sample 
 _GAUSS_BATCH = 64   # admissible cells per Gauss call: 64 * 8^3 doubles per array
 
 
-def _gauss_cells(los: np.ndarray, his: np.ndarray, x: np.ndarray,
+def _gauss_cells(los: np.ndarray, his: np.ndarray,
                  nodes: np.ndarray, weights: np.ndarray) -> float:
-    # tensor-product Gauss-Legendre over a batch of admissible cells, summed
+    # tensor-product Gauss-Legendre of 1/|r| over a batch of admissible cells, summed
     import numpy as np
 
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
-    gx = centers[:, None, 0] + halves[:, None, 0] * nodes
-    gy = centers[:, None, 1] + halves[:, None, 1] * nodes
-    gz = centers[:, None, 2] + halves[:, None, 2] * nodes
-    dx = gx[:, :, None, None] - x[0]
-    dy = gy[:, None, :, None] - x[1]
-    dz = gz[:, None, None, :] - x[2]
-    inv_r = dx * dx + dy * dy + dz * dz
+    x = (centers[:, None, 0] + halves[:, None, 0] * nodes)[:, :, None, None]
+    y = (centers[:, None, 1] + halves[:, None, 1] * nodes)[:, None, :, None]
+    z = (centers[:, None, 2] + halves[:, None, 2] * nodes)[:, None, None, :]
+    inv_r = x * x + y * y + z * z
     np.reciprocal(np.sqrt(inv_r, out=inv_r), out=inv_r)
     # contract z, then y, then x with the 1-d weights
     return float(np.prod(halves, axis=1) @ (inv_r @ weights @ weights @ weights))
@@ -245,10 +242,10 @@ def _octree_corner_integral(u: Point, v: Point, floor_h: float) -> float:
             cells.append((lo, hi[:axis] + (mid,) + hi[axis + 1:]))
             cells.append((lo[:axis] + (mid,) + lo[axis + 1:], hi))
     nodes, weights = _gauss_rule()
-    boxes, origin = np.array(far), np.zeros(3)
+    boxes = np.array(far)
     for start in range(0, len(boxes), _GAUSS_BATCH):
         batch = boxes[start:start + _GAUSS_BATCH]
-        total += _gauss_cells(batch[:, :3], batch[:, 3:], origin, nodes, weights)
+        total += _gauss_cells(batch[:, :3], batch[:, 3:], nodes, weights)
     return total
 
 

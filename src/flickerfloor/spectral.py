@@ -223,8 +223,8 @@ def _cycle_fraction(f: np.ndarray, k, dt: float) -> np.ndarray:
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid.
 
-    A spectrum that overflows the float range, or one that is a normal double
-    while its Us^2 + Uc^2 underflows, is a SpectralError naming dt and n.
+    A spectrum, or standard error, that overflows the float range is a
+    SpectralError naming dt and n.
     """
     if len(ensemble) < 1:
         raise SpectralError("ensemble must contain at least one record")
@@ -246,7 +246,6 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         x = np.stack([rec.samples[lo:hi] for rec in ensemble], out=buffer[:, :hi - lo])
-        x *= dt                                                             # (n_rec, hi-lo)
         if lo == 0:
             x[:, 0] *= 0.5  # trapezoid weights at the two ends
         if hi == n:
@@ -257,23 +256,21 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
         sin_theta, cos_theta = np.sin(theta), np.cos(theta)
         us += sin_theta * a + cos_theta * b
         uc += cos_theta * a - sin_theta * b
-    t_m, tiny = ensemble[0].t_m, np.finfo(float).tiny
-    power = us ** 2 + uc ** 2
-    # below the normal range Us^2 + Uc^2 loses digits, and a spectrum that is
-    # itself a normal double would come out wrong or 0
-    lost, root = power < tiny, math.sqrt(t_m)
-    if lost.any() and np.any(lost & ((us / root) ** 2 + (uc / root) ** 2 >= tiny)):
-        raise SpectralError(f"power_spectrum_estimate: Us^2 + Uc^2 underflows "
-                            f"at dt = {dt:g} s, n = {n}")
-    p = power / t_m
-    mean = p.mean(axis=0)
+    # us and uc are Us/dt and Uc/dt, and t_m = (n - 1) dt, so the periodogram
+    # is (c us)^2 + (c uc)^2: scaled before it is squared, it leaves the float
+    # range only where the spectrum itself does
+    c = math.sqrt(dt / (n - 1))
+    p = (c * us) ** 2 + (c * uc) ** 2
+    mean = (p / len(ensemble)).sum(axis=0)  # divided first: the sum of p may overflow
     if len(ensemble) > 1:
-        stderr = p.std(axis=0, ddof=1) / math.sqrt(len(ensemble))
+        # from the scatter of p/mean, about 1, whose squares stay in range
+        ratio = p / np.where(mean > 0, mean, 1.0)
+        stderr = mean * ratio.std(axis=0, ddof=1) / math.sqrt(len(ensemble))
     else:
         stderr = np.zeros_like(mean)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(stderr))):
-        raise SpectralError(f"power_spectrum_estimate: the periodogram (Us^2 + Uc^2)/t_m "
-                            f"overflows at dt = {dt:g} s, n = {n}")
+        raise SpectralError(f"power_spectrum_estimate: the spectrum <Us^2 + Uc^2>/t_m, or "
+                            f"its standard error, overflows at dt = {dt:g} s, n = {n}")
     return SpectrumSeries(f=f, value=mean, stderr=stderr)
 
 

@@ -200,21 +200,10 @@ def _parse_unit(tag: str) -> Quantity:
     tag = tag.strip()
     if tag in ("", "1", "dimensionless"):
         return Quantity(1.0)
-    # split on '/' outside parentheses; every segment after the first divides
-    segments, depth, cur = [], 0, []
-    for ch in tag:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "/" and depth == 0:
-            segments.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    segments.append("".join(cur))
-    out = _in_range(_parse_product(segments[0]))
-    for seg in segments[1:]:
+    # every segment after the first divides; no '/' inside parentheses
+    first, *rest = tag.split("/")
+    out = _in_range(_parse_product(first))
+    for seg in rest:
         out = _in_range(out / _in_range(_parse_product(seg)))
     return out
 

@@ -2,8 +2,8 @@
 
 Independent oracle: by the divergence theorem with 1/|r-x| = div_r[(r-x)/(2|r-x|)],
 the volume integral of 1/|r-x| over a box equals a sum of six smooth surface
-integrals, one per face.  This shares no code with the closed-form corner
-primitive or the adaptive quadrature under test.
+integrals, one per face (FACE_ORACLE).  This shares no code with the
+closed-form corner primitive or the adaptive quadrature under test.
 """
 
 import itertools
@@ -13,7 +13,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad
 
 from flickerfloor import geometry
 from flickerfloor.workbench import bundled_config_text, load_catalog
@@ -28,9 +27,21 @@ from flickerfloor.geometry import (
     transverse_probes,
 )
 
-# frozen; computed by the face-integral oracle below and cross-checked against
-# nested adaptive quadrature with the singular cell excised
+# frozen; the closed form's value, 5.6e-16 below FACE_ORACLE's
 UNIT_CUBE_CENTER = 2.3800773639795523
+# The volume integral of 1/|r-x| over [0,d0]x[0,d1]x[0,d2], as the sum over the
+# six faces of (1/2) h int_face dA/|r-x|, h the signed distance from x to the
+# face plane along the outward normal (a face through x adds 0).  Each face
+# integral is mpmath's 2-d tanh-sinh quadrature at 30 digits, split at the
+# projection of x, at the exact binary dims and points; 30 and 40 digits agree
+# to 1e-31.  Rounded to double: (dims, point): integral, cm^2.
+FACE_ORACLE = {
+    ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)): 2.3800773639795536,   # center
+    ((1.0, 0.7, 0.4), (0.3, 0.4, 0.5)): 0.6353558178438907,   # beyond the top face
+    ((1.0, 0.7, 0.4), (0.0, 0.5, 0.5)): 0.4884161569056394,   # in the x = 0 plane
+    ((1.0, 0.7, 0.4), (1.0, 1.0, 0.25)): 0.350548007953927,   # in the x = 1 plane
+    ((1.0, 0.7, 0.4), (2.0, -1.0, 0.5)): 0.13813022964713276,  # beyond a corner
+}
 
 TABLE_G = {  # published reference values, cm^-1
     "V1": ((2.2e-4, 1e-4, 1e-6), 9630.0, 1990.0),
@@ -81,30 +92,6 @@ CLOSED_FORM_POINTS = [  # points of the box (1, 0.7, 0.4) and the integral, cm^2
 ]
 
 
-def face_integral_oracle(dims, x, epsabs=1e-11):
-    """Volume integral of 1/|r-x| over [0,d0]x[0,d1]x[0,d2] via face integrals.
-
-    Each face with outward normal n contributes (1/2) * integral of
-    n.(r-x)/|r-x| dA; the constant n.(r-x) factor equals the signed distance
-    from x to the face plane.
-    """
-    total = 0.0
-    for axis in range(3):
-        u_ax, v_ax = (axis + 1) % 3, (axis + 2) % 3
-        for face_coord, orientation in ((0.0, -1.0), (dims[axis], 1.0)):
-            h = orientation * (face_coord - x[axis])  # signed normal distance
-
-            def rho(u, v):
-                du, dv = u - x[u_ax], v - x[v_ax]
-                dn = face_coord - x[axis]
-                return 1.0 / math.sqrt(du * du + dv * dv + dn * dn)
-
-            val, _ = dblquad(rho, 0.0, dims[v_ax], 0.0, dims[u_ax],
-                             epsabs=epsabs, epsrel=1e-11)
-            total += 0.5 * h * val
-    return total
-
-
 def box_integral(dims, x, method="closed_form"):
     geom = SampleGeometry(l=dims[0], w=dims[1], a=dims[2])
     return coulomb_box_integral(geom, np.asarray(x, dtype=float), method=method).to("cm^2")
@@ -119,21 +106,22 @@ def test_unit_cube_center_frozen_value():
         UNIT_CUBE_CENTER, rel=1e-12)
 
 
+# the closed form's 8 corner terms are of one size on these boxes, so it is
+# good to a few ulps (7e-16 at worst, measured)
 def test_unit_cube_center_against_face_oracle():
-    oracle = face_integral_oracle((1.0, 1.0, 1.0), (0.5, 0.5, 0.5))
-    assert box_integral((1, 1, 1), (0.5, 0.5, 0.5)) == pytest.approx(oracle, rel=1e-8)
+    oracle = FACE_ORACLE[(1.0, 1.0, 1.0), (0.5, 0.5, 0.5)]
+    assert box_integral((1, 1, 1), (0.5, 0.5, 0.5)) == pytest.approx(oracle, rel=1e-14)
 
 
 @pytest.mark.parametrize("point", [
-    (0.3, 0.4, 0.5),      # interior, off-center
-    (0.0, 0.5, 0.5),      # on a face
-    (1.0, 1.0, 0.25),     # on an edge
-    (2.0, -1.0, 0.5),     # exterior
+    (0.3, 0.4, 0.5),
+    (0.0, 0.5, 0.5),
+    (1.0, 1.0, 0.25),
+    (2.0, -1.0, 0.5),
 ])
 def test_closed_form_against_face_oracle(point):
     dims = (1.0, 0.7, 0.4)
-    oracle = face_integral_oracle(dims, point)
-    assert box_integral(dims, point) == pytest.approx(oracle, rel=1e-8)
+    assert box_integral(dims, point) == pytest.approx(FACE_ORACLE[dims, point], rel=1e-14)
 
 
 @pytest.mark.parametrize("point, frozen", CLOSED_FORM_POINTS)

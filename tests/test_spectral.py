@@ -122,12 +122,36 @@ def test_estimate_is_nonnegative(seed, n_rec):
     assert np.all(series.value >= 0.0)
 
 
-@pytest.mark.parametrize("dt, scale", [(1e300, 1.0), (1e10, 1e300)])
+@pytest.mark.parametrize("dt, scale", [(1e300, 1e10), (1e10, 1e300)])
 def test_estimate_overflow_names_dt_and_estimator(dt, scale):
-    # (Us^2 + Uc^2)/t_m, or samples * dt itself, overflows: no warning, one error
+    # S = (Us^2 + Uc^2)/t_m is itself about 1e320 here: no warning, one error
     recs = [SignalRecord(samples=scale * np.cos(np.arange(64.0)), dt=dt) for _ in range(2)]
     with pytest.raises(SpectralError, match=r"^power_spectrum_estimate: .* dt = 1e\+(300|10) s"):
         power_spectrum_estimate(recs, [0.0, 0.1 / dt])
+
+
+def test_estimate_answers_a_spectrum_at_the_float_limit():
+    # S = 1.2e308 per record: their mean is finite, their sum is not
+    x = np.cos(np.arange(64.0))
+    unit = power_spectrum_estimate([SignalRecord(x, 1.0)], [0.0]).value[0]
+    scale = math.sqrt(1.2e308) / math.sqrt(unit)
+    series = power_spectrum_estimate([SignalRecord(scale * x, 1.0)] * 3, [0.0])
+    assert series.value[0] == pytest.approx(1.2e308, rel=1e-12)
+    assert series.stderr[0] <= 1e-15 * series.value[0]  # equal records: rounding only
+
+
+@pytest.mark.parametrize("e", [-600, -200, 200, 600, 980])
+def test_estimate_scales_exactly_with_a_power_of_two_step(e):
+    # with f dt held fixed, S = (dt/(n - 1)) |sum of weighted samples e^{2 pi i
+    # f t}|^2 is dt times a sum that does not depend on dt, so dt = 2^e scales
+    # S and its stderr by exactly 2^e, also where Us^2 = (dt A)^2 itself would
+    # leave the float range (e = -600, 600, 980 were once refused)
+    recs = [synthesize_power_law_noise(1.0, 1024, 1.0, seed=s) for s in range(4)]
+    f = np.logspace(np.log10(10.0 / 1023), np.log10(0.25), 60)
+    base, dt = power_spectrum_estimate(recs, f), 2.0 ** e
+    scaled = power_spectrum_estimate([SignalRecord(rec.samples, dt) for rec in recs], f / dt)
+    assert np.array_equal(scaled.value / dt, base.value)
+    assert np.array_equal(scaled.stderr / dt, base.stderr)
 
 
 @pytest.mark.parametrize("f", [math.inf, math.nan, -1.0])
@@ -531,9 +555,17 @@ def test_work_budget_stops_an_unresolved_covariance(monkeypatch):
 
 
 def test_work_budget_admits_an_unresolved_covariance_below_it():
-    # about 1.3e5 panels; the value is the one computed before the budget
+    # about 1.3e5 panels, against the elementary finite-time value (mpmath, 40
+    # digits): with S = e^{-|tau|/1e4} cos 5 tau, omega = 2 pi and T = 1e5,
+    #   Sigma = Re sum_{+-} [-1/z + (e^{zT} - 1)/(z^2 T)],  z = -1e-4 + i(2 pi +- 5).
+    # The bound is the eps max|g| P rounding of each one-period (P = 1 s) Gauss
+    # panel over the rows S(tau), S(-tau) (max|g| = 1) and tau S(+-tau)/T
+    # (max 1e4/(e T)), summed over the panels; the value cancels from terms
+    # near 0.78, so the rounding is absolute, not relative to it
     cov = CovarianceModel(kind="user-function", func=unresolved_covariance)
-    assert sigma_spectrum(cov, 1.0, 1e5) == pytest.approx(6.767006842457863e-05, rel=1e-12)
+    bound = 1.3e5 * np.finfo(float).eps * (2.0 + 2.0 * 1e4 / (math.e * 1e5))
+    assert sigma_spectrum(cov, 1.0, 1e5) == pytest.approx(6.767006825143266e-05,
+                                                          rel=0, abs=bound)
 
 
 def test_smooth_covariance_stays_far_below_the_work_budget(monkeypatch):

@@ -150,7 +150,18 @@ def test_unit_tags_parsed_once_in_a_bounded_cache():
         first.value = 2.0
 
 
-@pytest.mark.parametrize("tag", ["furlong", "V^100*V^100", "cm^x"])
+@pytest.mark.parametrize("tag, value, dim", [
+    ("1/(eV*cm^3)", 1.0 / 1.602176634e-12, Dimension.of(length=-5, mass=-1, time=2)),
+    ("(g*cm)/s", 1.0, Dimension.of(length=1, mass=1, time=-1)),
+    ("g/cm^3/s", 1.0, Dimension.of(length=-3, mass=1, time=-1)),
+])
+def test_unit_tag_segments_split_on_slash(tag, value, dim):
+    assert parse_unit(tag) == Quantity(value, dim)
+
+
+@pytest.mark.parametrize("tag", ["furlong", "V^100*V^100", "cm^x",
+                                 # a '/' inside parentheses is not parsed
+                                 "1/(cm/s)", "(cm/s)", "cm^(1/2)"])
 def test_bad_unit_tag_raises_on_every_call(tag):
     # errors are not cached: a repeated bad tag fails the same way each time
     for _ in range(3):

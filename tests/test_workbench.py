@@ -319,22 +319,34 @@ def test_cli_spectrum_overflowing_excess_factor_is_input_error(capsys):
     assert "Warning" not in captured.err
 
 
-def test_cli_estimate_overflow_names_dt_and_estimator(capsys):
-    assert cli.main(["estimate", "--n", "4096", "--dt", "1e300", "--records", "1"]) == 1
+def estimate_rows(argv, capsys):
+    assert cli.main(["estimate", *argv]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: power_spectrum_estimate")
-    assert "dt = 1e+300" in captured.err
-    assert "Warning" not in captured.err
+    assert captured.err == ""
+    header, *rows = csv.reader(io.StringIO(captured.out))
+    assert header == ["f", "S", "stderr"]
+    return [[float(cell) for cell in row] for row in rows]
 
 
-def test_cli_estimate_underflow_names_dt_and_n(capsys):
-    # Us^2 + Uc^2 near 1e-337 once underflowed to 0 and printed S = 0 with exit 0
-    assert cli.main(["estimate", "--n", "4096", "--dt", "1e-170", "--records", "2"]) == 1
+@pytest.mark.parametrize("dt", [1e300, 1e-170])
+def test_cli_estimate_answers_a_finite_spectrum_at_extreme_steps(dt, capsys):
+    # Us^2 = (dt A)^2 overflows or underflows here, while S = dt |A|^2/(n - 1)
+    # does not: these were refused, and before that 1e-170 printed S = 0
+    rows, unit_step = estimate_rows(["--dt", repr(dt)], capsys), estimate_rows([], capsys)
+    assert len(rows) == 60
+    # the unit-step sums scaled by dt; the CSV keeps 6 digits
+    for (f, value, stderr), (f1, value1, stderr1) in zip(rows, unit_step):
+        assert [f * dt, value / dt, stderr / dt] == pytest.approx([f1, value1, stderr1], rel=1e-5)
+
+
+@pytest.mark.parametrize("dt", ["1e305", "5e-324"])
+def test_cli_estimate_rejects_a_step_whose_grid_leaves_the_float_range(dt, capsys):
+    # t_m or 0.25/dt overflows: this once printed three numpy RuntimeWarnings
+    # and then "frequencies must be finite"
+    assert cli.main(["estimate", "--dt", dt]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: power_spectrum_estimate")
-    assert "dt = 1e-170" in captured.err and "n = 4096" in captured.err
+    assert captured.err.startswith("error: --dt ")
     assert "Warning" not in captured.err
 
 
