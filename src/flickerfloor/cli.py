@@ -191,6 +191,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be nonnegative")
     # the grid runs from 10/t_m up to 0.25/dt, with t_m = (n - 1) dt
     if args.n <= 41:
         raise ConfigError(f"--n {args.n}: must exceed 41, or the frequency grid "

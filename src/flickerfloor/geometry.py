@@ -12,7 +12,6 @@ adaptive octree quadrature provides an independent cross-check path.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -171,13 +170,6 @@ def _corner_boxes(dims: Point, x: Point):
                 yield (sx[0], sy[0], sz[0]), (sx[1], sy[1], sz[1])
 
 
-def _closed_form_box_integral(dims: Point, x: Point) -> float:
-    total = 0.0
-    for u, v in _corner_boxes(dims, x):
-        total += _corner_box_integral(u, v)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------
@@ -200,17 +192,19 @@ def _gauss_cells(los: np.ndarray, his: np.ndarray,
     z = (centers[:, None, 2] + halves[:, None, 2] * nodes)[:, None, None, :]
     inv_r = x * x + y * y + z * z
     np.reciprocal(np.sqrt(inv_r, out=inv_r), out=inv_r)
-    # contract z, then y, then x with the 1-d weights
-    return float(np.prod(halves, axis=1) @ (inv_r @ weights @ weights @ weights))
+    # contract each cell's nodes with the flattened weight tensor in one product
+    return float(np.prod(halves, axis=1) @ (inv_r.reshape(len(los), -1) @ weights))
 
 
 @functools.cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
-    built on first use, so that importing the module imports no numpy."""
+    """The _GAUSS_ORDER-point Gauss-Legendre nodes on [-1, 1] and the tensor
+    of weight products w_i w_j w_k, flattened, built on first use, so that
+    importing the module imports no numpy."""
     from numpy.polynomial.legendre import leggauss
 
-    return leggauss(_GAUSS_ORDER)
+    nodes, w = leggauss(_GAUSS_ORDER)
+    return nodes, (w[:, None, None] * w[:, None] * w).ravel()
 
 
 def _octree_corner_integral(u: Point, v: Point, floor_h: float) -> float:
@@ -249,31 +243,30 @@ def _octree_corner_integral(u: Point, v: Point, floor_h: float) -> float:
     return total
 
 
-def _quadrature_box_integral(dims: Point, x: Point) -> float:
-    """Octree quadrature of the box Coulomb integral.
-
-    The box is split at the evaluation point into at most 8 corner boxes,
-    each with the point at its corner or outside it (the split the closed
-    form makes).  Each distinct corner box is integrated once by
-    _octree_corner_integral and counted as often as it occurs, so a probe at
-    the centre of a face takes one quarter-box walk.  Cells well separated
-    from the point get a tensor Gauss rule; cells touching it are bisected
-    until their half-diagonal is _SIZE_FLOOR times the diagonal of the whole
-    box `dims`, and the residual singular cells are evaluated with the exact
-    corner primitive.
-    """
-    floor_h = _SIZE_FLOOR * math.sqrt(dims[0] ** 2 + dims[1] ** 2 + dims[2] ** 2)
-    counts = collections.Counter(_corner_boxes(dims, x))
-    return sum(n * _octree_corner_integral(u, v, floor_h) for (u, v), n in counts.items())
-
-
 def _box_integral(dims: Point, x: Point, method: str) -> float:
-    # the one place where the method picks the rule
+    """Integral of 1/|r - x| over the box [0, dims]; the one place where the
+    method picks the rule.
+
+    The box is split at x into its corner boxes.  Each distinct one is
+    evaluated once, by the exact corner primitive ("closed_form") or by
+    _octree_corner_integral with cells down to _SIZE_FLOOR times the diagonal
+    of `dims` ("quadrature"), and its value is added once per occurrence, in
+    the split's order: a probe at the centre of a face evaluates one box.
+    """
     if method == "closed_form":
-        return _closed_form_box_integral(dims, x)
-    if method == "quadrature":
-        return _quadrature_box_integral(dims, x)
-    raise GeometryError(f"unknown method '{method}'")
+        rule = _corner_box_integral
+    elif method == "quadrature":
+        floor_h = _SIZE_FLOOR * math.sqrt(dims[0] ** 2 + dims[1] ** 2 + dims[2] ** 2)
+        rule = lambda u, v: _octree_corner_integral(u, v, floor_h)
+    else:
+        raise GeometryError(f"unknown method '{method}'")
+    values = {}
+    total = 0.0
+    for box in _corner_boxes(dims, x):
+        if box not in values:
+            values[box] = rule(*box)
+        total += values[box]
+    return total
 
 
 # ---------------------------------------------------------------------------

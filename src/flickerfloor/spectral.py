@@ -191,11 +191,13 @@ def _two_product(a, b):
     """(p, e) with p = a*b rounded and p + e = a*b exactly (Dekker 1971).
 
     Veltkamp's splitter 2^27 + 1 cuts each factor into two 26-bit halves,
-    whose four products are exact; past about 1e300 the split overflows.
+    whose four products are exact.  A factor past 2^996, where 2^27 times it
+    could overflow, is split as a copy scaled by 2^-28, which is exact.
     """
     def split(v):
-        c = 134217729.0 * v
-        hi = c - (c - v)
+        scale = np.where(np.abs(v) > 2.0 ** 996, 2.0 ** -28, 1.0)
+        c = 134217729.0 * (v * scale)
+        hi = (c - (c - v * scale)) / scale
         return hi, v - hi
 
     p = a * b
@@ -214,7 +216,8 @@ def _cycle_fraction(f: np.ndarray, k, dt: float) -> np.ndarray:
     t, t_err = _two_product(np.asarray(k, dtype=float), dt)
     c, c_err = _two_product(f, t)
     err = c_err + f * t_err
-    # where a split overflowed, the rounded product alone is kept
+    # where a split still overflows (a factor near the float limit), the
+    # rounded product alone is kept
     frac = (c - np.round(c)) + np.where(np.isfinite(err), err, 0.0)
     return frac - np.round(frac)
 

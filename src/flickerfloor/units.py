@@ -3,8 +3,8 @@
 Internally everything is stored in (cm, g, s); electrostatic charge is folded
 into the mechanical base as esu = g^(1/2) cm^(3/2) s^(-1), so Gaussian
 formulas like e^4*g/(m*hbar*c^3) come out dimensionless at the exponent
-level, with exact Fraction arithmetic.  SI units are accepted at the I/O
-boundary only.
+level.  Exponents are exact integers counted in halves, all that esu needs.
+SI units are accepted at the I/O boundary only.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
-
-Exponent = Union[int, Fraction]
+from typing import Iterable
 
 
 class InputError(ValueError):
@@ -32,52 +29,44 @@ class DimensionError(TypeError):
 
 @dataclass(frozen=True)
 class Dimension:
-    """Exponents over the Gaussian-CGS base (length, mass, time)."""
+    """Exponents over the Gaussian-CGS base (length, mass, time), each an
+    int counting halves: cm^(3/2) has length_halves = 3."""
 
-    length: Fraction = Fraction(0)
-    mass: Fraction = Fraction(0)
-    time: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(length: Exponent = 0, mass: Exponent = 0, time: Exponent = 0) -> "Dimension":
-        return Dimension(Fraction(length), Fraction(mass), Fraction(time))
+    length_halves: int = 0
+    mass_halves: int = 0
+    time_halves: int = 0
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.length + other.length,
-                         self.mass + other.mass,
-                         self.time + other.time)
+        return Dimension(self.length_halves + other.length_halves,
+                         self.mass_halves + other.mass_halves,
+                         self.time_halves + other.time_halves)
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.length - other.length,
-                         self.mass - other.mass,
-                         self.time - other.time)
+        return Dimension(self.length_halves - other.length_halves,
+                         self.mass_halves - other.mass_halves,
+                         self.time_halves - other.time_halves)
 
-    def __pow__(self, n: Exponent) -> "Dimension":
-        n = Fraction(n)
-        return Dimension(self.length * n, self.mass * n, self.time * n)
-
-    @property
-    def is_dimensionless(self) -> bool:
-        return self.length == 0 and self.mass == 0 and self.time == 0
+    def __pow__(self, n: float) -> "Dimension":
+        # n may be an int, a float or a fractions.Fraction
+        halves = (self.length_halves * n, self.mass_halves * n, self.time_halves * n)
+        if type(n) is not int and any(h % 1 for h in halves):  # nan % 1 is nan: true
+            raise DimensionError(f"[{self}]^{n} has an exponent that is not a multiple of 1/2")
+        return Dimension(*map(int, halves))
 
     def __str__(self) -> str:
-        if self.is_dimensionless:
-            return "dimensionless"
-        parts = []
-        for sym, exp in (("cm", self.length), ("g", self.mass), ("s", self.time)):
-            if exp != 0:
-                parts.append(sym if exp == 1 else f"{sym}^{exp}")
-        return "*".join(parts)
+        exps = (("cm", self.length_halves), ("g", self.mass_halves), ("s", self.time_halves))
+        return "*".join(sym + ("" if h == 2 else f"^{h // 2}" if h % 2 == 0 else f"^{h}/2")
+                        for sym, h in exps if h) or "dimensionless"
 
 
 DIMENSIONLESS = Dimension()
-LENGTH = Dimension.of(length=1)
-MASS = Dimension.of(mass=1)
-TIME = Dimension.of(time=1)
+LENGTH = Dimension(length_halves=2)
+MASS = Dimension(mass_halves=2)
+TIME = Dimension(time_halves=2)
 # esu = g^(1/2) cm^(3/2) / s in the Gaussian system
-CHARGE = Dimension.of(length=Fraction(3, 2), mass=Fraction(1, 2), time=-1)
-ENERGY = Dimension.of(length=2, mass=1, time=-2)
-FREQUENCY = Dimension.of(time=-1)
+CHARGE = (MASS * LENGTH ** 3) ** 0.5 / TIME
+ENERGY = MASS * LENGTH ** 2 / TIME ** 2
+FREQUENCY = DIMENSIONLESS / TIME
 VOLTAGE = ENERGY / CHARGE  # statvolt
 
 
@@ -112,8 +101,8 @@ class Quantity:
     def __rtruediv__(self, other) -> "Quantity":
         return Quantity(other / self.value, DIMENSIONLESS / self.dim)
 
-    def __pow__(self, n: Exponent) -> "Quantity":
-        return Quantity(self.value ** float(Fraction(n)), self.dim ** n)
+    def __pow__(self, n: float) -> "Quantity":
+        return Quantity(self.value ** float(n), self.dim ** n)
 
     def to(self, unit: str) -> float:
         """Magnitude of this quantity expressed in ``unit``."""
@@ -164,16 +153,24 @@ def _parse_factor(token: str) -> Quantity:
         name, _, exp = token.partition("^")
         name, exp = name.strip(), exp.strip()
         try:
-            power = Fraction(exp)
-        except ValueError as err:
-            raise UnitsError(f"bad exponent in unit token '{token}'") from err
+            power = float(exp)
+        except ValueError:
+            power = math.nan
+        if math.isnan(power):
+            raise UnitsError(f"bad exponent in unit token '{token}'")
+        if math.isinf(power):
+            raise OverflowError  # '^1e400': a power past the float range
     else:
-        name, power = token, Fraction(1)
+        name, power = token, 1
     if name == "1":
         return Quantity(1.0)
     if name not in _ATOMS:
         raise UnitsError(f"unknown unit '{name}'")
-    return _ATOMS[name] ** power
+    try:
+        return _ATOMS[name] ** power
+    except DimensionError as err:
+        raise UnitsError(f"unit token '{token}' has an exponent that is not a multiple "
+                         "of 1/2") from err
 
 
 def _parse_product(text: str) -> Quantity:

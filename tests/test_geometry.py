@@ -363,6 +363,28 @@ def test_distinct_corner_boxes_are_walked_once(octree_runs, point, runs):
     assert quad == pytest.approx(box_integral(dims, point), rel=1e-14)
 
 
+@pytest.mark.parametrize("point, boxes, evaluations", [
+    ((0.0, 0.35, 0.2), 4, 1),     # centre of a face: four bit-equal quarters
+    ((0.5, 0.35, 0.2), 8, 1),     # centre: eight bit-equal octants
+    ((0.3, 0.2, 0.1), 8, 8),      # off-centre interior
+])
+def test_closed_form_evaluates_each_distinct_corner_box_once(monkeypatch, point, boxes,
+                                                             evaluations):
+    dims = (1.0, 0.7, 0.4)
+    assert len(list(geometry._corner_boxes(dims, point))) == boxes
+    calls = []
+    real = geometry._corner_box_integral
+    monkeypatch.setattr(geometry, "_corner_box_integral",
+                        lambda u, v: calls.append((u, v)) or real(u, v))
+    got = box_integral(dims, point)
+    assert len(calls) == evaluations
+    # added back once per corner box, in the split's order: the unfolded sum
+    want = 0.0
+    for u, v in geometry._corner_boxes(dims, point):
+        want += real(u, v)
+    assert got == want
+
+
 @pytest.mark.parametrize("side", [s for s in itertools.product((-1, 0, 1), repeat=3)
                                   if s != (0, 0, 0)])
 def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(octree_runs, side):

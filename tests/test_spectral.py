@@ -140,12 +140,14 @@ def test_estimate_answers_a_spectrum_at_the_float_limit():
     assert series.stderr[0] <= 1e-15 * series.value[0]  # equal records: rounding only
 
 
-@pytest.mark.parametrize("e", [-600, -200, 200, 600, 980])
+@pytest.mark.parametrize("e", [-1000, -990, -600, -200, 200, 600, 980, 990, 996, 1000, 1010])
 def test_estimate_scales_exactly_with_a_power_of_two_step(e):
     # with f dt held fixed, S = (dt/(n - 1)) |sum of weighted samples e^{2 pi i
     # f t}|^2 is dt times a sum that does not depend on dt, so dt = 2^e scales
     # S and its stderr by exactly 2^e, also where Us^2 = (dt A)^2 itself would
-    # leave the float range (e = -600, 600, 980 were once refused)
+    # leave the float range (e = -600, 600, 980 were once refused), and where
+    # 2^27 times a time or a frequency overflows (e = 990 ... 1010 and -1000
+    # were once off by 1.6e-13, as the phase reduction's splits overflowed)
     recs = [synthesize_power_law_noise(1.0, 1024, 1.0, seed=s) for s in range(4)]
     f = np.logspace(np.log10(10.0 / 1023), np.log10(0.25), 60)
     base, dt = power_spectrum_estimate(recs, f), 2.0 ** e

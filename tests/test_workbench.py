@@ -350,6 +350,15 @@ def test_cli_estimate_rejects_a_step_whose_grid_leaves_the_float_range(dt, capsy
     assert "Warning" not in captured.err
 
 
+def test_cli_estimate_rejects_a_negative_seed(capsys):
+    # numpy's generators refused it with a ValueError traceback
+    assert cli.main(["estimate", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed -1")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_estimate_rejects_a_record_too_short_for_its_grid(capsys):
     # at n <= 41 the grid 10/t_m .. 0.25/dt runs backwards
     assert cli.main(["estimate", "--n", "32", "--records", "2"]) == 1
@@ -517,10 +526,12 @@ SCALAR_QUESTIONS = [
     (["report", "--mode", "transverse", "--g-source", "table"], 0),
     (["spectrum", "--config", str(CONFIGS / "ybco.cfg"), "--sample", "X7"], 1),
     (["spectrum", "--sample", "V80", "--u0", "2 m"], 1),
+    (["estimate", "--seed", "-1"], 1),
 ]
 
 
 def test_scalar_questions_import_no_numpy():
+    # fractions (and decimal, which it imports) would add 3-5 ms to each cold process
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import flickerfloor, flickerfloor.cli
@@ -529,7 +540,8 @@ def test_scalar_questions_import_no_numpy():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = flickerfloor.cli.main(argv)
-            loaded = [m for m in ("numpy", "flickerfloor.spectral") if m in sys.modules]
+            loaded = [m for m in ("numpy", "flickerfloor.spectral", "fractions", "decimal")
+                      if m in sys.modules]
             answers.append([code, bool(out.getvalue()), loaded])
         print(json.dumps(answers))
     """)
