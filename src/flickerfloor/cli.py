@@ -17,6 +17,8 @@ from .units import DimensionError, InputError, UnitsError, parse_quantity, quant
 from .workbench import ConfigError
 
 
+_MAX_POINTS = 1_000_000  # spectrum points; each takes about 140 bytes of arrays and CSV text
+
 _COMMON = {
     "--config": dict(help="catalog config path (default: bundled ingaas.cfg)"),
     "--output": dict(help="write CSV to this path instead of stdout"),
@@ -100,7 +102,22 @@ def _find_sample(entries, sample_id: str) -> workbench.CatalogEntry:
     raise ConfigError(f"unknown sample '{sample_id}' (catalog has: {known})")
 
 
-def _emit(text: str, output) -> None:
+def _write_table(table, output) -> None:
+    """Write a Report, or a SpectrumSeries as f,S,stderr and one column per
+    annotation (flags as 0/1), as CSV to output, or to stdout without one.
+    Floats (numpy's too) get 6 significant digits and None an empty cell.
+    Cells are not quoted: a comma in a verify-wk case name adds a field."""
+    if isinstance(table, workbench.Report):
+        header, rows = table.columns, ([row.get(c) for c in table.columns] for row in table.rows)
+    else:
+        header = ["f", "S", "stderr", *table.annotations]
+        rows = zip(table.f, table.value, table.stderr,
+                   *(map(float, column) for column in table.annotations.values()))
+
+    def cell(v):
+        return "" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
+
+    text = ",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -180,13 +197,12 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("need 0 < fmin < fmax")
     if args.points < 0:
         raise ConfigError(f"--points {args.points}: must be >= 0")
+    if args.points > _MAX_POINTS:
+        raise ConfigError(f"--points {args.points}: must be at most {_MAX_POINTS:,}")
     import numpy as np
 
-    from . import spectral
-
     f = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
-    series = noise_floor.evaluate_spectrum(model, u0, f)
-    _emit(spectral.spectrum_csv_text(series), args.output)
+    _write_table(noise_floor.evaluate_spectrum(model, u0, f), args.output)
     return 0
 
 
@@ -211,14 +227,13 @@ def cmd_estimate(args) -> int:
                                                    seed=args.seed + i)
                for i in range(args.records)]
     f = np.logspace(np.log10(10.0 / t_m), np.log10(0.25 / args.dt), 60)
-    series = spectral.power_spectrum_estimate(records, f)
-    _emit(spectral.spectrum_csv_text(series), args.output)
+    _write_table(spectral.power_spectrum_estimate(records, f), args.output)
     return 0
 
 
 def cmd_verify_wk(args) -> int:
     report = workbench.run_verification_suite()
-    _emit(report.to_csv(), args.output)
+    _write_table(report, args.output)
     if report.failures:
         for row in report.failures:
             print(f"FAIL: {row['case']} rel_error={row['rel_error']:.3g}",
@@ -231,7 +246,7 @@ def cmd_report(args) -> int:
     entries, _ = _load_catalog(args)
     report = workbench.reproduce_tables(entries, mode=args.mode,
                                         g_source=args.g_source)
-    _emit(report.to_csv(), args.output)
+    _write_table(report, args.output)
     return 0
 
 

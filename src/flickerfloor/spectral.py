@@ -20,8 +20,8 @@ so their log(tm)-sized oscillating pieces cancel without losing the -pi/|w|
 residual.  One routine weights, rotates and budgets every Gauss panel.
 
 No phase is taken from a large argument: the kernels' panel edges sit at
-whole periods, whose phases are small multiples of the exactly computed
-amount by which omega * period misses 2 pi, and the estimator reuses one
+whole periods, whose phases are small multiples of the amount, carried in two
+doubles, by which omega * period misses 2 pi, and the estimator reuses one
 block's phase table, rotated by each block's start angle.  That table is
 assembled by angle addition from two tables of about sqrt(block) phases
 each, and all its angles, like the block angles, are reduced to one cycle
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,8 +80,8 @@ class SignalRecord:
 class SpectrumSeries:
     """(f, S(f)) result arrays, with per-point standard errors.
 
-    Each annotation is a per-point array (a flag or a factor); the spectrum
-    CSV writes it as one more column.
+    Each annotation is a per-point array (a flag or a factor); the CLI's
+    spectrum and estimate tables print it as one more column.
     """
 
     f: np.ndarray
@@ -302,7 +301,8 @@ _PANEL_BATCH = 64
 # one that never resolves on 8 periods takes about 1.3 f t_m, near 0.5 s per
 # 1e5 periods, so the budget stops such a call within about 20 s
 _MAX_PANELS = 5_000_000
-_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+# 2 pi as a rounded head and its tail, to about 1e-32
+_TWO_PI_HI, _TWO_PI_LO = 2.0 * math.pi, 2.4492935982947064e-16
 
 
 @functools.cache
@@ -359,18 +359,21 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
 
     A panel whose last two coefficients have not decayed is halved, and below
     2 _GAUSS_PERIODS periods gets the Gauss rule, so smooth g takes about
-    log2(f t_m) panels.  Edge kP has the small phase k drift, with
-    drift = omega P - 2 pi and t_m - nP found in exact arithmetic, so no phase
-    comes from a large argument.  A non-finite g ends with nan sums.  Panels
-    are counted before each batch is evaluated; past _MAX_PANELS the call is
-    a SpectralError naming omega and t_m.
+    log2(f t_m) panels.  Edge kP has the small phase k drift; Dekker
+    two-products give drift = omega P - 2 pi to twice double precision and
+    t_m - nP exactly, so no phase comes from a large argument.  A non-finite
+    g ends with nan sums.  Panels are counted before each batch is
+    evaluated; past _MAX_PANELS the call is a SpectralError naming omega and t_m.
     """
     w = abs(omega)
     period = 2.0 * math.pi / w
-    if not math.isfinite(t_m / period):
-        raise SpectralError(f"omega*t_m overflows at omega={omega:g} rad/s, t_m={t_m:g} s")
+    if not math.isfinite(period + t_m / period):
+        raise SpectralError(f"2 pi/omega or omega*t_m overflows at omega={omega:g} rad/s, "
+                            f"t_m={t_m:g} s")
     n = math.floor(t_m / period)
-    drift = float(Fraction(w) * Fraction(period) - _TWO_PI)
+    # w P = p + e; p - 2 pi's head, and t_m - nP below, are exact (Sterbenz)
+    p, e = _two_product(w, period)
+    drift = float((p - _TWO_PI_HI) + (e - _TWO_PI_LO))
     gauss_nodes, gauss_weights, cheb_nodes, to_coeffs, at_one, at_minus_one = _panel_tables()
     used, total, scale = 0, 0j, 0.0
 
@@ -407,7 +410,8 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     edges = np.unique([e for e in head if e < first] + [first])
     panels = [(0.0, a, b) for a, b in zip(edges[:-1], edges[1:])]
     panels += [(k, 0.0, period) for k in range(1, min(n, _GAUSS_PERIODS))]
-    last = float(Fraction(t_m) - n * Fraction(period))
+    p, e = _two_product(float(n), period)  # nP lies in [t_m/2, t_m] for n >= 1
+    last = float((t_m - p) - e)
     if n >= 1 and last != 0.0:
         panels.append((float(n), 0.0, last))
     k, lo, hi = map(np.array, zip(*panels))
@@ -577,19 +581,3 @@ def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int) -> Si
     parts *= _amplitude_profile(gamma, n)[:, None]
     parts[-1, 1] = 0.0  # the Nyquist bin is real
     return SignalRecord(samples=np.fft.irfft(spectrum, n=n), dt=dt)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def spectrum_csv_text(series: SpectrumSeries) -> str:
-    """CSV with columns f,S,stderr, then one column per annotation."""
-    names = list(series.annotations)
-    columns = [series.f, series.value, series.stderr] + [
-        np.asarray(series.annotations[name], dtype=float) for name in names]
-    lines = [",".join(["f", "S", "stderr"] + names)]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.6g}" for v in row))
-    return "\n".join(lines) + "\n"
-

@@ -9,7 +9,6 @@ standing verification cases for the generalized Wiener-Khinchin machinery.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -45,22 +44,6 @@ class CatalogEntry:
 class Report:
     columns: list[str]
     rows: list[dict]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            cells = []
-            for col in self.columns:
-                v = row.get(col)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(f"{v:.6g}")
-                else:
-                    cells.append(str(v))
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
 
     @property
     def failures(self) -> list[dict]:

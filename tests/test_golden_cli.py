@@ -2,9 +2,10 @@
 
 `golden_cli.json` holds the argv, exit code and stdout of the `report`,
 `factor`, `kappa`, `delta` and default `spectrum` runs over the bundled
-catalogs. A refactor that claims identical outputs must leave every one of
-them unchanged. After a deliberate change of output, regenerate the file
-with
+catalogs, and of three `estimate` runs: the defaults, one record (every
+stderr cell 0) and gamma 2 at a millisecond step over two records. A
+refactor that claims identical outputs must leave every one of them
+unchanged. After a deliberate change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -35,6 +36,8 @@ def _with_bundled_config(argv):
 def _cases():
     cases = [["delta", "--config", name] for name in CATALOGS]
     cases += [["spectrum", "--sample", "V1"]]
+    cases += [["estimate"], ["estimate", "--records", "1", "--n", "1024"],
+              ["estimate", "--gamma", "2", "--dt", "0.001", "--seed", "5", "--records", "2"]]
     for name in CATALOGS:
         entries, _ = workbench.load_catalog(workbench.bundled_config_text(name))
         for mode in MODES:

@@ -18,7 +18,6 @@ from flickerfloor.spectral import (
     power_spectrum_estimate,
     sigma_spectrum,
     sign_function_transform,
-    spectrum_csv_text,
     synthesize_power_law_noise,
     wk_identity_check,
 )
@@ -378,6 +377,14 @@ def test_kernels_reject_non_finite_t_m(kernel, value):
     assert "quadrature panels" not in str(err.value)
 
 
+@pytest.mark.parametrize("kernel", [wk_identity_check, sign_function_transform])
+def test_kernels_reject_an_omega_whose_period_overflows(kernel):
+    # 2 pi/omega is inf below omega = 3.5e-308: this was an OverflowError
+    # traceback from the phase reduction, not an input error
+    with pytest.raises(SpectralError, match=r"^2 pi/omega or omega\*t_m overflows at omega=1e-308"):
+        kernel(1e-308, 10.0)
+
+
 def not_finite_user_function(tau):
     return np.where(np.abs(tau) > 50.0, np.nan, np.exp(-np.abs(tau)))
 
@@ -716,17 +723,3 @@ def test_leakage_biases_the_fitted_slope():
     expected_slope = np.polyfit(np.log(f), np.log(expected_periodogram(2.0, 2048, 1.0, f)), 1)[0]
     assert expected_slope == pytest.approx(-1.985, abs=0.002)
     assert fitted_slope(2.0) == pytest.approx(expected_slope, abs=0.01)
-
-
-# ---------------------------------------------------------------------------
-# CSV text
-# ---------------------------------------------------------------------------
-
-def test_spectrum_csv_format():
-    rec = sinusoid_record()
-    series = power_spectrum_estimate([rec], np.array([0.5, 1.0]))
-    text = spectrum_csv_text(series)
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert lines[0] == "f,S,stderr"
-    assert len(lines) == 3

@@ -225,13 +225,17 @@ def test_reproduce_tables_input_validation(ingaas_catalog):
         reproduce_tables(ingaas_catalog, g_source="guess")
 
 
-def test_report_is_deterministic(ingaas_catalog):
-    a = reproduce_tables(ingaas_catalog, mode="longitudinal", g_source="computed")
-    b = reproduce_tables(ingaas_catalog, mode="longitudinal", g_source="computed")
-    assert a.to_csv() == b.to_csv()
-    assert a.to_csv().splitlines()[0] == (
+def test_report_is_deterministic(capsys):
+    argv = ["report", "--mode", "longitudinal", "--g-source", "computed"]
+    assert cli.main(argv) == 0
+    a = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == a
+    assert a.splitlines()[0] == (
         "sample,g_cm^-1,g_tr_cm^-1,kappa_th,kappa_exp,ratio_exp_th,gamma,"
         "fmax_Hz,annotations")
+    # a header and the five samples, each line ended by a newline
+    assert len(a.splitlines()) == 6 and a.endswith("\n") and not a.endswith("\n\n")
 
 
 def test_verification_suite_passes():
@@ -383,6 +387,19 @@ def test_cli_spectrum_marks_points_beyond_validity(capsys):
         assert excess > 1.0 if out_of_range else excess == 1.0
 
 
+@pytest.mark.parametrize("argv, header, lines", [
+    (["estimate", "--n", "64", "--records", "1"], "f,S,stderr", 61),
+    (["spectrum", "--sample", "V1", "--points", "0"], "f,S,stderr,beyond_validity,excess_factor", 1),
+], ids=["estimate", "spectrum-no-points"])
+def test_cli_spectrum_table_format(argv, header, lines, capsys):
+    # the header, one line per frequency, and a newline ending every line
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == header
+    assert len(out.splitlines()) == lines
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 def test_cli_estimate_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["estimate", "--gamma", "1.0", "--n", "512", "--records", "4",
@@ -411,6 +428,13 @@ def test_cli_verify_wk(capsys):
     assert cli.main(["verify-wk"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # one line per suite row after the header, each ending in its row's status
+    suite = run_verification_suite()
+    header, *lines = out.splitlines()
+    assert header == ",".join(suite.columns)
+    assert len(lines) == len(suite.rows)
+    for line, row in zip(lines, suite.rows):
+        assert line.endswith("," + row["status"])
 
 
 def test_cli_delta_without_materials_exits_1(capsys, tmp_path):
@@ -450,12 +474,14 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--u0", "1 V^-400"], "--u0 '1 V^-400'"),
     (["spectrum", "--sample", "V1", "--u0", "1 cm^1e400"], "--u0 '1 cm^1e400'"),
     (["spectrum", "--sample", "V1", "--u0", "1e200 V"], "U0 = 1e+200 V"),
+    (["spectrum", "--sample", "V1", "--points", "1000001"], "--points 1000001"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
     # must be finite", inf after a numpy RuntimeWarning (an error here); the
     # overflowing unit powers and the overflowing floor ended in an
-    # OverflowError traceback
+    # OverflowError traceback; --points had no ceiling, and at 2e9 points its
+    # grid alone would take 16 GB
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -527,11 +553,14 @@ SCALAR_QUESTIONS = [
     (["spectrum", "--config", str(CONFIGS / "ybco.cfg"), "--sample", "X7"], 1),
     (["spectrum", "--sample", "V80", "--u0", "2 m"], 1),
     (["estimate", "--seed", "-1"], 1),
+    (["spectrum", "--sample", "V1", "--points", "1000001"], 1),
 ]
 
 
-def test_scalar_questions_import_no_numpy():
-    # fractions (and decimal, which it imports) would add 3-5 ms to each cold process
+def ask_in_process(argvs):
+    """[exit code, whether stdout got text, which of numpy, spectral, fractions
+    and decimal are loaded] after each argv, asked in turn in one fresh
+    interpreter."""
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import flickerfloor, flickerfloor.cli
@@ -545,6 +574,19 @@ def test_scalar_questions_import_no_numpy():
             answers.append([code, bool(out.getvalue()), loaded])
         print(json.dumps(answers))
     """)
-    answers = json.loads(run_python(code, json.dumps([argv for argv, _ in SCALAR_QUESTIONS])))
+    return json.loads(run_python(code, json.dumps(argvs)))
+
+
+def test_scalar_questions_import_no_numpy():
+    # fractions (and decimal, which it imports) would add 3-5 ms to each cold process
+    answers = ask_in_process([argv for argv, _ in SCALAR_QUESTIONS])
     for (argv, want_code), (code, printed, loaded) in zip(SCALAR_QUESTIONS, answers, strict=True):
         assert (code, printed, loaded) == (want_code, want_code == 0, []), argv
+
+
+def test_array_questions_import_no_fractions():
+    # the spectral kernels reduced their phases with Fraction arithmetic
+    argvs = [["spectrum", "--sample", "V80"], ["estimate", "--n", "256", "--records", "2"],
+             ["verify-wk"]]
+    for argv, answer in zip(argvs, ask_in_process(argvs), strict=True):
+        assert answer == [0, True, ["numpy", "flickerfloor.spectral"]], argv
