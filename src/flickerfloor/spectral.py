@@ -3,8 +3,8 @@ machinery.
 
 The estimator follows the plain finite-time transform
 
-    Us(w) = int_0^tm dU(t) sin(wt) dt,   Uc likewise with cos,
-    S(f)  = < Us^2 + Uc^2 > / tm,        w = 2 pi f,
+    U(w) = int_0^tm dU(t) e^{iwt} dt = Uc + i Us,
+    S(f) = < |U|^2 > / tm = < Us^2 + Uc^2 > / tm,   w = 2 pi f,
 
 with trapezoidal discretization and literal ensemble averaging (no windowing
 or overlap).  For covariances growing like log|tau|, which have no ordinary
@@ -22,8 +22,8 @@ residual.  One routine weights, rotates and budgets every Gauss panel.
 No phase is taken from a large argument: the kernels' panel edges sit at
 whole periods, whose phases are small multiples of the amount, carried in two
 doubles, by which omega * period misses 2 pi, and the estimator reuses one
-block's phase table, rotated by each block's start angle.  That table is
-assembled by angle addition from two tables of about sqrt(block) phases
+block's complex phase table, rotated by each block's start angle.  That
+table is the outer product of two tables of about sqrt(block) phase factors
 each, and all its angles, like the block angles, are reduced to one cycle
 exactly before they are rounded.  The noise synthesizer draws Gaussian
 Fourier amplitudes, so neither takes a trig function per sample.
@@ -157,33 +157,27 @@ class WkIdentityResult:
 # estimator
 # ---------------------------------------------------------------------------
 
-# time samples per block; one sin/cos table of this many samples serves every
+# time samples per block; one phase table of this many samples serves every
 # block, so peak memory is O(n_f * _SAMPLES_PER_BLOCK) whatever the record length
 _SAMPLES_PER_BLOCK = 4096
-# the phase table's sample index j = _PHASE_SPLIT * q + r: its cos and sin are
-# assembled from those of q and r, so a 4096-sample table takes 2 * 128 trig
-# calls per frequency instead of 2 * 4096
+# the phase table's sample index j = _PHASE_SPLIT * q + r: its phase factor is
+# the product of those of q and r, so a 4096-sample table takes 128 complex
+# exponentials per frequency instead of 4096
 _PHASE_SPLIT = 64
 
 
-def _phase_tables(f: np.ndarray, dt: float, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi f t_j at t_j = j dt, j < block, as (n_f, block) arrays.
+def _phase_table(f: np.ndarray, dt: float, block: int) -> np.ndarray:
+    """exp(2 pi i f t_j) at t_j = j dt, j < block, as a (block, n_f) complex array.
 
-    With j = m q + r, the angle-addition formulas are rank-2 matrix products of
-    short tables, whose angles are reduced to one cycle before they are rounded:
-
-        cos(a_q + b_r) = [cos a_q, -sin a_q] @ [cos b_r; sin b_r],
-        sin(a_q + b_r) = [sin a_q,  cos a_q] @ [cos b_r; sin b_r].
+    With j = m q + r it is the outer product exp(i a_q) exp(i b_r) of two
+    short tables, whose angles are reduced to one cycle before they are
+    rounded; a ragged block's last row is cut from the product.
     """
     m = min(block, _PHASE_SPLIT)
     rows = -(-block // m)
-    fine = 2.0 * math.pi * _cycle_fraction(f[:, None], np.arange(m), dt)           # b_r
-    coarse = 2.0 * math.pi * _cycle_fraction(f[:, None], m * np.arange(rows), dt)  # a_q
-    right = np.stack([np.cos(fine), np.sin(fine)], axis=1)                        # (n_f, 2, m)
-    cos_a, sin_a = np.cos(coarse), np.sin(coarse)
-    # left is (n_f, rows, 2); a ragged block's last row is cut from the product
-    return tuple((np.stack(left, axis=2) @ right).reshape(f.size, rows * m)[:, :block]
-                 for left in ((cos_a, -sin_a), (sin_a, cos_a)))
+    fine, coarse = (np.exp(2j * math.pi * _cycle_fraction(f, k[:, None], dt))  # b_r, a_q
+                    for k in (np.arange(m), m * np.arange(rows)))
+    return (coarse[:, None] * fine).reshape(rows * m, f.size)[:block]
 
 
 def _two_product(a, b):
@@ -239,11 +233,10 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     if not np.all(np.isfinite(f) & (f >= 0)):
         raise SpectralError("frequencies must be finite and nonnegative")
     # phase table of the first block; block lo starts at angle theta, and
-    # sin/cos(theta + phi) = rotation of the table's products by theta
+    # e^{i(theta + phi)} = e^{i theta} e^{i phi} rotates the block's sums
     block = min(n, _SAMPLES_PER_BLOCK)
-    cos_table, sin_table = _phase_tables(f, dt, block)
-    us = np.zeros((len(ensemble), f.size))
-    uc = np.zeros((len(ensemble), f.size))
+    table = _phase_table(f, dt, block)
+    u = np.zeros((len(ensemble), f.size), dtype=complex)  # (Uc + i Us)/dt
     buffer = np.empty((len(ensemble), block))  # reused, so one block is alive at a time
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -252,17 +245,14 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
             x[:, 0] *= 0.5  # trapezoid weights at the two ends
         if hi == n:
             x[:, -1] *= 0.5
-        a = x @ cos_table[:, :hi - lo].T                                    # (n_rec, n_f)
-        b = x @ sin_table[:, :hi - lo].T
-        theta = 2.0 * math.pi * _cycle_fraction(f, lo, dt)
-        sin_theta, cos_theta = np.sin(theta), np.cos(theta)
-        us += sin_theta * a + cos_theta * b
-        uc += cos_theta * a - sin_theta * b
-    # us and uc are Us/dt and Uc/dt, and t_m = (n - 1) dt, so the periodogram
-    # is (c us)^2 + (c uc)^2: scaled before it is squared, it leaves the float
+        # one real product on the table's (re, im) float view: x stays real
+        sums = (x @ table[:hi - lo].view(float)).view(complex)                 # (n_rec, n_f)
+        u += np.exp(2j * math.pi * _cycle_fraction(f, lo, dt)) * sums
+    # u is (Uc + i Us)/dt, and t_m = (n - 1) dt, so the periodogram is
+    # (c Re u)^2 + (c Im u)^2: scaled before it is squared, it leaves the float
     # range only where the spectrum itself does
     c = math.sqrt(dt / (n - 1))
-    p = (c * us) ** 2 + (c * uc) ** 2
+    p = (c * u.real) ** 2 + (c * u.imag) ** 2
     mean = (p / len(ensemble)).sum(axis=0)  # divided first: the sum of p may overflow
     if len(ensemble) > 1:
         # from the scatter of p/mean, about 1, whose squares stay in range
