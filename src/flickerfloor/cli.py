@@ -18,6 +18,9 @@ from .workbench import ConfigError
 
 
 _MAX_POINTS = 1_000_000  # spectrum points; each takes about 140 bytes of arrays and CSV text
+# estimate samples, --n times --records, all held at once as float64: 512 MiB
+# at the ceiling, next to which the FFT and estimator transients are small
+_MAX_SAMPLES = 2 ** 26
 
 _COMMON = {
     "--config": dict(help="catalog config path (default: bundled ingaas.cfg)"),
@@ -125,23 +128,12 @@ def _write_table(table, output) -> None:
         sys.stdout.write(text)
 
 
-def _entry_model(entry, mode: str, single_species: bool = False, g=None):
-    probes = (entry.probes_longitudinal if mode == "longitudinal"
-              else entry.probes_transverse)
-    return noise_floor.build_model(
-        entry.geom, probes, entry.material, configuration=mode,
-        single_species=single_species, delta_override=entry.delta_override, g=g)
-
-
 def cmd_factor(args) -> int:
     entries, _ = _load_catalog(args)
     entry = _find_sample(entries, args.sample)
-    if args.mode == "longitudinal":
-        gf = geometry.geometric_factor(entry.geom, entry.probes_longitudinal,
-                                       method=args.method)
-    else:
-        gf = geometry.geometric_factor_transverse(entry.geom, entry.probes_transverse,
-                                                  method=args.method)
+    factor = (geometry.geometric_factor if args.mode == "longitudinal"
+              else geometry.geometric_factor_transverse)
+    gf = factor(entry.geom, entry.probes(args.mode), method=args.method)
     print(f"g = {gf.value.to('cm^-1'):.6g} cm^-1 ({args.mode}, {args.method})")
     return 0
 
@@ -157,7 +149,7 @@ def cmd_kappa(args) -> int:
             raise ConfigError(f"sample '{args.sample}' has no tabulated g for "
                               f"mode '{args.mode}'")
         g = geometry.GeometricFactor(quantity(override, "cm^-1"), args.mode)
-    model = _entry_model(entry, args.mode, args.single_species, g)
+    model = entry.model(args.mode, args.single_species, g)
     print(f"kappa = {model.kappa:.6g}  gamma = {model.gamma:.6g}  "
           f"fmax = {model.fmax.to('Hz'):.6g} Hz")
     return 0
@@ -184,7 +176,7 @@ def cmd_delta(args) -> int:
 def cmd_spectrum(args) -> int:
     entries, _ = _load_catalog(args)
     entry = _find_sample(entries, args.sample)
-    model = _entry_model(entry, args.mode)
+    model = entry.model(args.mode)
     try:
         u0 = parse_quantity(args.u0)
         u0.to("V")  # dimension check up front
@@ -213,6 +205,9 @@ def cmd_estimate(args) -> int:
     if args.n <= 41:
         raise ConfigError(f"--n {args.n}: must exceed 41, or the frequency grid "
                           "from 10/t_m to 0.25/dt runs backwards")
+    if args.n * args.records > _MAX_SAMPLES:
+        raise ConfigError(f"--n {args.n} --records {args.records}: the records would hold "
+                          f"more than {_MAX_SAMPLES:,} samples at once")
     t_m = args.dt * (args.n - 1)
     # a dt that is not itself finite and positive is the synthesizer's error
     if 0 < args.dt < math.inf and not all(0 < end < math.inf

@@ -219,8 +219,11 @@ def _cycle_fraction(f: np.ndarray, k, dt: float) -> np.ndarray:
 def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> SpectrumSeries:
     """Ensemble-averaged power spectrum (Us^2 + Uc^2)/tm on a frequency grid.
 
-    A spectrum, or standard error, that overflows the float range is a
-    SpectralError naming dt and n.
+    Its standard error S/sqrt(N) over N records assumes Gaussian records,
+    whose periodogram is S chi^2_2 / 2, of standard deviation S, away from
+    f = 0 and the Nyquist frequency (Percival & Walden 1993, sec. 6.6); at
+    those two it is S chi^2_1, and the bar is low by sqrt(2).  A spectrum
+    that overflows the float range is a SpectralError naming dt and n.
     """
     if len(ensemble) < 1:
         raise SpectralError("ensemble must contain at least one record")
@@ -236,7 +239,7 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     # e^{i(theta + phi)} = e^{i theta} e^{i phi} rotates the block's sums
     block = min(n, _SAMPLES_PER_BLOCK)
     table = _phase_table(f, dt, block)
-    u = np.zeros((len(ensemble), f.size), dtype=complex)  # (Uc + i Us)/dt
+    u = np.zeros((len(ensemble), f.size), dtype=complex)
     buffer = np.empty((len(ensemble), block))  # reused, so one block is alive at a time
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -254,16 +257,10 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
     c = math.sqrt(dt / (n - 1))
     p = (c * u.real) ** 2 + (c * u.imag) ** 2
     mean = (p / len(ensemble)).sum(axis=0)  # divided first: the sum of p may overflow
-    if len(ensemble) > 1:
-        # from the scatter of p/mean, about 1, whose squares stay in range
-        ratio = p / np.where(mean > 0, mean, 1.0)
-        stderr = mean * ratio.std(axis=0, ddof=1) / math.sqrt(len(ensemble))
-    else:
-        stderr = np.zeros_like(mean)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(stderr))):
-        raise SpectralError(f"power_spectrum_estimate: the spectrum <Us^2 + Uc^2>/t_m, or "
-                            f"its standard error, overflows at dt = {dt:g} s, n = {n}")
-    return SpectrumSeries(f=f, value=mean, stderr=stderr)
+    if not np.all(np.isfinite(mean)):
+        raise SpectralError(f"power_spectrum_estimate: the spectrum <Us^2 + Uc^2>/t_m "
+                            f"overflows at dt = {dt:g} s, n = {n}")
+    return SpectrumSeries(f=f, value=mean, stderr=mean / math.sqrt(len(ensemble)))
 
 
 # ---------------------------------------------------------------------------

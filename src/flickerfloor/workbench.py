@@ -39,6 +39,16 @@ class CatalogEntry:
     delta_override: Optional[float] = None
     annotation: str = ""
 
+    def probes(self, mode: str) -> ProbePair:
+        return self.probes_longitudinal if mode == "longitudinal" else self.probes_transverse
+
+    def model(self, mode: str, single_species: bool = False,
+              g: Optional[geometry.GeometricFactor] = None) -> noise_floor.NoiseFloorModel:
+        """The sample's noise-floor model in mode; g, when given, is used as is."""
+        return noise_floor.build_model(self.geom, self.probes(mode), self.material,
+                                       configuration=mode, single_species=single_species,
+                                       delta_override=self.delta_override, g=g)
+
 
 @dataclass
 class Report:
@@ -230,9 +240,7 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
                 entry.geom, entry.probes_transverse).value.to("cm^-1")
         longitudinal = mode == "longitudinal"
         g = geometry.GeometricFactor(quantity(g_long if longitudinal else g_tr, "cm^-1"), mode)
-        model = noise_floor.build_model(
-            entry.geom, entry.probes_longitudinal if longitudinal else entry.probes_transverse,
-            entry.material, configuration=mode, delta_override=entry.delta_override, g=g)
+        model = entry.model(mode, g=g)
         kappa_exp = entry.kappa_exp if longitudinal else entry.kappa_exp_transverse
         annotations = ([entry.annotation] if entry.annotation else []) + list(model.caveats)
         rows.append({

@@ -3,7 +3,7 @@
 `golden_cli.json` holds the argv, exit code and stdout of the `report`,
 `factor`, `kappa`, `delta` and default `spectrum` runs over the bundled
 catalogs, and of three `estimate` runs: the defaults, one record (every
-stderr cell 0) and gamma 2 at a millisecond step over two records. A
+stderr cell equal to S) and gamma 2 at a millisecond step over two records. A
 refactor that claims identical outputs must leave every one of them
 unchanged. After a deliberate change of output, regenerate the file with
 

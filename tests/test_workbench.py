@@ -475,13 +475,15 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--u0", "1 cm^1e400"], "--u0 '1 cm^1e400'"),
     (["spectrum", "--sample", "V1", "--u0", "1e200 V"], "U0 = 1e+200 V"),
     (["spectrum", "--sample", "V1", "--points", "1000001"], "--points 1000001"),
+    (["estimate", "--n", str(2 ** 27), "--records", "32"], "--n 134217728 --records 32"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
     # must be finite", inf after a numpy RuntimeWarning (an error here); the
     # overflowing unit powers and the overflowing floor ended in an
     # OverflowError traceback; --points had no ceiling, and at 2e9 points its
-    # grid alone would take 16 GB
+    # grid alone would take 16 GB, nor had estimate's records, which at
+    # --n 2^27 --records 32 would take 32 GiB
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -554,6 +556,7 @@ SCALAR_QUESTIONS = [
     (["spectrum", "--sample", "V80", "--u0", "2 m"], 1),
     (["estimate", "--seed", "-1"], 1),
     (["spectrum", "--sample", "V1", "--points", "1000001"], 1),
+    (["estimate", "--n", str(2 ** 27), "--records", "32"], 1),
 ]
 
 
