@@ -205,6 +205,8 @@ def cmd_estimate(args) -> int:
     if args.n <= 41:
         raise ConfigError(f"--n {args.n}: must exceed 41, or the frequency grid "
                           "from 10/t_m to 0.25/dt runs backwards")
+    if args.records < 1:
+        raise ConfigError(f"--records {args.records}: must be at least 1")
     if args.n * args.records > _MAX_SAMPLES:
         raise ConfigError(f"--n {args.n} --records {args.records}: the records would hold "
                           f"more than {_MAX_SAMPLES:,} samples at once")

@@ -7,7 +7,8 @@ The longitudinal factor is
 in cm^-1, with the voltage probes at x1, x2; the transverse factor carries an
 extra (w/l)^2.  The Coulomb volume integral has a closed form built from the
 arctan/log primitive of the Newtonian potential of a homogeneous cuboid; an
-adaptive octree quadrature provides an independent cross-check path.
+adaptive quadrature on columns, exact along the box's shortest axis and on a
+quadtree in the other two, provides an independent cross-check path.
 """
 
 from __future__ import annotations
@@ -175,71 +176,68 @@ def _corner_boxes(dims: Point, x: Point):
 # ---------------------------------------------------------------------------
 
 _GAUSS_ORDER = 8
-_ETA = 2.5          # admissibility: cell used when dist >= eta * half-diagonal
-_SIZE_FLOOR = 3e-4  # singular-cell half-diagonal floor, relative to the sample box's diagonal
-_GAUSS_BATCH = 64   # admissible cells per Gauss call: 64 * 8^3 doubles per array
+_ETA = 2.5          # admissibility: column used when dist >= eta * its (x, y) half-diagonal
+_SIZE_FLOOR = 3e-4  # singular columns' (x, y) half-diagonal, relative to the sample box's diagonal
+_GAUSS_BATCH = 128  # admissible columns per Gauss call: 128 * 8^2 doubles per array
 
 
-def _gauss_cells(los: np.ndarray, his: np.ndarray,
-                 nodes: np.ndarray, weights: np.ndarray) -> float:
-    # tensor-product Gauss-Legendre of 1/|r| over a batch of admissible cells, summed
+def _gauss_columns(cells: list, z_lo: float, z_hi: float) -> float:
+    # tensor-product Gauss-Legendre in (x, y) of the exact z integral of 1/|r|
+    # over a batch of admissible columns (x_lo, y_lo, x_hi, y_hi), summed
     import numpy as np
 
-    centers = 0.5 * (los + his)
-    halves = 0.5 * (his - los)
-    x = (centers[:, None, 0] + halves[:, None, 0] * nodes)[:, :, None, None]
-    y = (centers[:, None, 1] + halves[:, None, 1] * nodes)[:, None, :, None]
-    z = (centers[:, None, 2] + halves[:, None, 2] * nodes)[:, None, None, :]
-    inv_r = x * x + y * y + z * z
-    np.reciprocal(np.sqrt(inv_r, out=inv_r), out=inv_r)
-    # contract each cell's nodes with the flattened weight tensor in one product
-    return float(np.prod(halves, axis=1) @ (inv_r.reshape(len(los), -1) @ weights))
+    nodes, weights = _gauss_rule()
+    box = np.array(cells)
+    halves = 0.5 * (box[:, 2:] - box[:, :2])
+    xy = (0.5 * (box[:, :2] + box[:, 2:]))[:, :, None] + halves[:, :, None] * nodes
+    rho2 = xy[:, 0, :, None] ** 2 + xy[:, 1, None, :] ** 2
+    r_lo = np.sqrt(rho2 + z_lo * z_lo)
+    r_sum = np.sqrt(rho2 + z_hi * z_hi, out=rho2) + r_lo
+    # log((z_hi + R_hi) / (z_lo + R_lo)), with R_hi - R_lo written as
+    # (z_hi^2 - z_lo^2) / (R_hi + R_lo) so that a thin column does not cancel
+    col = np.log1p((z_hi - z_lo) * (1.0 + (z_hi + z_lo) / r_sum) / (z_lo + r_lo))
+    return float((halves[:, 0] * halves[:, 1]) @ (col.reshape(len(box), -1) @ weights))
 
 
 @functools.cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _GAUSS_ORDER-point Gauss-Legendre nodes on [-1, 1] and the tensor
-    of weight products w_i w_j w_k, flattened, built on first use, so that
-    importing the module imports no numpy."""
+    """The _GAUSS_ORDER-point Gauss-Legendre nodes on [-1, 1] and the weight
+    products w_i w_j, flattened; built on first use, so importing imports no numpy."""
     from numpy.polynomial.legendre import leggauss
 
     nodes, w = leggauss(_GAUSS_ORDER)
-    return nodes, (w[:, None, None] * w[:, None] * w).ravel()
+    return nodes, (w[:, None] * w).ravel()
 
 
-def _octree_corner_integral(u: Point, v: Point, floor_h: float) -> float:
-    """Octree quadrature of 1/|r| over [u1,v1]x[u2,v2]x[u3,v3], 0 <= u <= v.
+def _column_corner_integral(u: Point, v: Point, floor_h: float) -> float:
+    """Quadrature of 1/|r| over [u1,v1]x[u2,v2]x[u3,v3], 0 <= u <= v, on columns.
 
-    The singular point is the origin, at the box's lower corner or outside
-    it.  Cells are walked as plain floats: a cell whose lower corner is
-    _ETA half-diagonals from the origin or farther is admissible and gets the
-    tensor Gauss rule, in batches of _GAUSS_BATCH after the walk; any other
-    cell is bisected across its longest side until its half-diagonal is at
-    most floor_h, and then integrated with the exact corner primitive.
+    The singular point is the origin, at the box's lower corner or outside it.
+    Columns span the shortest axis, z, exactly; their (x, y) cells are walked
+    as plain floats: a cell whose lower corner (x_lo, y_lo, z_lo) lies _ETA
+    (x, y) half-diagonals from the origin or farther takes the Gauss rule, in
+    batches of _GAUSS_BATCH after the walk; any other is bisected across its
+    longer side down to a half-diagonal of floor_h and takes the corner primitive.
     """
-    import numpy as np
-
-    total = 0.0
-    far = []
-    cells = [(u, v)]
+    x, y, z = sorted(range(3), key=lambda i: u[i] - v[i])  # z is the shortest side
+    z_lo, z_hi = u[z], v[z]
+    total, far, cells = 0.0, [], [(u[x], u[y], v[x], v[y])]
     while cells:
-        lo, hi = cells.pop()
-        ext = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
-        h = 0.5 * math.sqrt(ext[0] * ext[0] + ext[1] * ext[1] + ext[2] * ext[2])
-        if math.sqrt(lo[0] * lo[0] + lo[1] * lo[1] + lo[2] * lo[2]) >= _ETA * h:
-            far.append(lo + hi)
+        x_lo, y_lo, x_hi, y_hi = cell = cells.pop()
+        dx, dy = x_hi - x_lo, y_hi - y_lo
+        h = 0.5 * math.sqrt(dx * dx + dy * dy)
+        if math.sqrt(x_lo * x_lo + y_lo * y_lo + z_lo * z_lo) >= _ETA * h:
+            far.append(cell)
         elif h <= floor_h:
-            total += _corner_box_integral(lo, hi)
+            total += _corner_box_integral((x_lo, y_lo, z_lo), (x_hi, y_hi, z_hi))
+        elif dx >= dy:
+            mid = 0.5 * (x_lo + x_hi)
+            cells += (x_lo, y_lo, mid, y_hi), (mid, y_lo, x_hi, y_hi)
         else:
-            axis = ext.index(max(ext))
-            mid = 0.5 * (lo[axis] + hi[axis])
-            cells.append((lo, hi[:axis] + (mid,) + hi[axis + 1:]))
-            cells.append((lo[:axis] + (mid,) + lo[axis + 1:], hi))
-    nodes, weights = _gauss_rule()
-    boxes = np.array(far)
-    for start in range(0, len(boxes), _GAUSS_BATCH):
-        batch = boxes[start:start + _GAUSS_BATCH]
-        total += _gauss_cells(batch[:, :3], batch[:, 3:], nodes, weights)
+            mid = 0.5 * (y_lo + y_hi)
+            cells += (x_lo, y_lo, x_hi, mid), (x_lo, mid, x_hi, y_hi)
+    for start in range(0, len(far), _GAUSS_BATCH):
+        total += _gauss_columns(far[start:start + _GAUSS_BATCH], z_lo, z_hi)
     return total
 
 
@@ -249,7 +247,7 @@ def _box_integral(dims: Point, x: Point, method: str) -> float:
 
     The box is split at x into its corner boxes.  Each distinct one is
     evaluated once, by the exact corner primitive ("closed_form") or by
-    _octree_corner_integral with cells down to _SIZE_FLOOR times the diagonal
+    _column_corner_integral with columns down to _SIZE_FLOOR times the diagonal
     of `dims` ("quadrature"), and its value is added once per occurrence, in
     the split's order: a probe at the centre of a face evaluates one box.
     """
@@ -257,7 +255,7 @@ def _box_integral(dims: Point, x: Point, method: str) -> float:
         rule = _corner_box_integral
     elif method == "quadrature":
         floor_h = _SIZE_FLOOR * math.sqrt(dims[0] ** 2 + dims[1] ** 2 + dims[2] ** 2)
-        rule = lambda u, v: _octree_corner_integral(u, v, floor_h)
+        rule = lambda u, v: _column_corner_integral(u, v, floor_h)
     else:
         raise GeometryError(f"unknown method '{method}'")
     values = {}
@@ -278,7 +276,7 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
 
     The integrand's 1/r singularity is integrable, so x may lie inside the
     box or on its surface.  method is "closed_form" (exact) or "quadrature"
-    (adaptive octree, cross-check path).
+    (adaptive columns, cross-check path).
     """
     p = _point(x)
     if p is None:

@@ -331,22 +331,71 @@ def test_closed_form_g_error_against_references_is_recorded():
 
 
 @pytest.fixture
-def octree_runs(monkeypatch):
-    """Arguments of every corner-box octree walk made while the test runs."""
+def column_runs(monkeypatch):
+    """Arguments of every corner-box column walk made while the test runs."""
     runs = []
-    real = geometry._octree_corner_integral
-    monkeypatch.setattr(geometry, "_octree_corner_integral",
+    real = geometry._column_corner_integral
+    monkeypatch.setattr(geometry, "_column_corner_integral",
                         lambda *args: runs.append(args) or real(*args))
     return runs
 
 
-def test_catalog_pair_takes_one_octree_walk(octree_runs):
+def test_catalog_pair_takes_one_column_walk(column_runs):
     # a mirror pair takes one integral, and a probe at the centre of a face
     # splits the box into four bit-equal quarters
     for label, geom, probes, factor in catalog_pairs():
-        octree_runs.clear()
+        column_runs.clear()
         factor(geom, probes, method="quadrature")
-        assert len(octree_runs) == 1, label
+        assert len(column_runs) == 1, label
+
+
+@pytest.fixture
+def column_work(monkeypatch):
+    """Counts of the Gauss and the singular columns integrated while the test runs."""
+    work = {"gauss": 0, "singular": 0}
+    real_gauss, real_corner = geometry._gauss_columns, geometry._corner_box_integral
+
+    def gauss_columns(cells, *args):
+        work["gauss"] += len(cells)
+        return real_gauss(cells, *args)
+
+    def corner_box_integral(u, v):
+        work["singular"] += 1
+        return real_corner(u, v)
+
+    monkeypatch.setattr(geometry, "_gauss_columns", gauss_columns)
+    monkeypatch.setattr(geometry, "_corner_box_integral", corner_box_integral)
+    return work
+
+
+@pytest.mark.parametrize("catalog, sample, gauss, singular", [
+    ("ingaas", "V1", 80, 5),       # the octree walk took 148 Gauss cells and 15 singular
+    ("ybco", "bulk-B", 84, 4),     # and 254 and 13
+])
+def test_column_walk_work_is_pinned(column_work, catalog, sample, gauss, singular):
+    # the end probe's one quarter-box walk; a change that inflates it fails here
+    entries, _ = load_catalog(bundled_config_text(catalog))
+    entry = next(e for e in entries if e.sample_id == sample)
+    geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")
+    assert column_work == {"gauss": gauss, "singular": singular}
+
+
+@pytest.mark.parametrize("point", [(0.3, 0.2, 0.04), (0.0, 0.2, 0.04), (1.4, -0.2, 0.25)],
+                         ids=["interior", "face", "exterior"])
+def test_quadrature_does_not_depend_on_the_column_axis(column_work, point):
+    # the box's shortest side, along which the columns run, moved to x, y and
+    # z in turn, with the point permuted alike: the same columns every time
+    work = []
+    for thin_axis in range(3):
+        order = [0, 1]
+        order.insert(thin_axis, 2)
+        dims = tuple((1.0, 0.7, 0.1)[i] for i in order)
+        x = tuple(point[i] for i in order)
+        column_work.update(gauss=0, singular=0)
+        quad = box_integral(dims, x, method="quadrature")
+        work.append(dict(column_work))
+        assert quad == pytest.approx(box_integral(dims, x), rel=1e-14, abs=0), thin_axis
+    assert work[0] == work[1] == work[2]
 
 
 @pytest.mark.parametrize("point, runs", [
@@ -356,10 +405,10 @@ def test_catalog_pair_takes_one_octree_walk(octree_runs):
     ((0.3, 0.7, 0.0), 2),     # edge
     ((1.0, 0.0, 0.4), 1),     # corner
 ])
-def test_distinct_corner_boxes_are_walked_once(octree_runs, point, runs):
+def test_distinct_corner_boxes_are_walked_once(column_runs, point, runs):
     dims = (1.0, 0.7, 0.4)
     quad = box_integral(dims, point, method="quadrature")
-    assert len(octree_runs) == runs
+    assert len(column_runs) == runs
     assert quad == pytest.approx(box_integral(dims, point), rel=1e-14)
 
 
@@ -387,18 +436,18 @@ def test_closed_form_evaluates_each_distinct_corner_box_once(monkeypatch, point,
 
 @pytest.mark.parametrize("side", [s for s in itertools.product((-1, 0, 1), repeat=3)
                                   if s != (0, 0, 0)])
-def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(octree_runs, side):
+def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(column_runs, side):
     # a point beyond a face, an edge or a corner splits the box in 4, 2 or 1
     dims = (1.0, 0.7, 0.4)
     point = tuple(0.3 * d if s == 0 else (-0.25 * d if s < 0 else 1.4 * d)
                   for s, d in zip(side, dims))
     quad = box_integral(dims, point, method="quadrature")
-    assert len(octree_runs) == 2 ** side.count(0)
+    assert len(column_runs) == 2 ** side.count(0)
     assert quad == pytest.approx(box_integral(dims, point), rel=1e-14)
 
 
 def test_quadrature_factor_peak_memory_under_1_mb():
-    # the Gauss sweep works in fixed batches of cells, so its arrays stay small
+    # the Gauss sweep works in fixed batches of columns, so its arrays stay small
     entries, _ = load_catalog(bundled_config_text("ybco"))
     entry = next(e for e in entries if e.sample_id == "bulk-B")
     geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")  # warm up

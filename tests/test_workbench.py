@@ -363,6 +363,16 @@ def test_cli_estimate_rejects_a_negative_seed(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("records", ["0", "-3"])
+def test_cli_estimate_rejects_an_empty_ensemble(records, capsys):
+    # the spectral layer refused it with a message that named no flag
+    assert cli.main(["estimate", "--records", records]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --records {records}")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 def test_cli_estimate_rejects_a_record_too_short_for_its_grid(capsys):
     # at n <= 41 the grid 10/t_m .. 0.25/dt runs backwards
     assert cli.main(["estimate", "--n", "32", "--records", "2"]) == 1
@@ -555,6 +565,7 @@ SCALAR_QUESTIONS = [
     (["spectrum", "--config", str(CONFIGS / "ybco.cfg"), "--sample", "X7"], 1),
     (["spectrum", "--sample", "V80", "--u0", "2 m"], 1),
     (["estimate", "--seed", "-1"], 1),
+    (["estimate", "--records", "0"], 1),
     (["spectrum", "--sample", "V1", "--points", "1000001"], 1),
     (["estimate", "--n", str(2 ** 27), "--records", "32"], 1),
 ]
