@@ -2,10 +2,12 @@
 
 `golden_cli.json` holds the argv, exit code and stdout of the `report`,
 `factor`, `kappa`, `delta` and default `spectrum` runs over the bundled
-catalogs, and of three `estimate` runs: the defaults, one record (every
-stderr cell equal to S) and gamma 2 at a millisecond step over two records. A
-refactor that claims identical outputs must leave every one of them
-unchanged. After a deliberate change of output, regenerate the file with
+catalogs, of a wide `spectrum` grid for every sample in both modes and of
+`spectrum` at 0, 1 and 2 points, and of three `estimate` runs: the defaults,
+one record (every stderr cell equal to S) and gamma 2 at a millisecond step
+over two records. A refactor that claims identical outputs must leave every
+one of them unchanged. After a deliberate change of output, regenerate the
+file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -36,6 +38,7 @@ def _with_bundled_config(argv):
 def _cases():
     cases = [["delta", "--config", name] for name in CATALOGS]
     cases += [["spectrum", "--sample", "V1"]]
+    cases += [["spectrum", "--sample", "V1", "--points", str(n)] for n in (0, 1, 2)]
     cases += [["estimate"], ["estimate", "--records", "1", "--n", "1024"],
               ["estimate", "--gamma", "2", "--dt", "0.001", "--seed", "5", "--records", "2"]]
     for name in CATALOGS:
@@ -48,6 +51,9 @@ def _cases():
                 cases += [["factor", *common, "--method", method]
                           for method in ("closed_form", "quadrature")]
                 cases += [["kappa", *common]]
+                # the V samples cross fmax near 1.1e6 Hz; ybco's bulk-B has gamma 1.06
+                cases += [["spectrum", *common, "--u0", "250 mV", "--fmin", "0.001",
+                           "--fmax", "1e7", "--points", "50"]]
                 table_g = entry.g_override if mode == "longitudinal" else entry.g_tr_override
                 if table_g is not None:
                     cases += [["kappa", *common, "--g-source", "table"]]
