@@ -2,8 +2,9 @@
 
 Subcommands: factor, kappa, delta, spectrum, estimate, verify-wk, report.
 Exit codes: 0 success, 1 input error (InputError, OSError), 2 verification failure.
-numpy is imported only for array work: by spectrum, estimate and verify-wk,
-which also import the spectral layer, and by factor --method quadrature.
+numpy is imported only for array work: by estimate and verify-wk, which also
+import the spectral layer, and by factor --method quadrature.  spectrum is
+plain arithmetic on its grid, and no path imports dataclasses.
 """
 
 from __future__ import annotations
@@ -191,9 +192,16 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--points {args.points}: must be >= 0")
     if args.points > _MAX_POINTS:
         raise ConfigError(f"--points {args.points}: must be at most {_MAX_POINTS:,}")
-    import numpy as np
-
-    f = np.logspace(np.log10(args.fmin), np.log10(args.fmax), args.points)
+    # np.logspace's grid: exponents start + i*step, the last one exactly log10(fmax)
+    start, stop = math.log10(args.fmin), math.log10(args.fmax)
+    step = (stop - start) / max(args.points - 1, 1)
+    y = [start + i * step for i in range(args.points)]
+    if args.points > 1:
+        y[-1] = stop
+    try:
+        f = [10.0 ** v for v in y]
+    except OverflowError as err:  # 10^log10(fmax) may round past the largest float
+        raise ConfigError(f"--fmax {args.fmax}: the grid leaves the float range") from err
     _write_table(noise_floor.evaluate_spectrum(model, u0, f), args.output)
     return 0
 
@@ -210,10 +218,12 @@ def cmd_estimate(args) -> int:
     if args.n * args.records > _MAX_SAMPLES:
         raise ConfigError(f"--n {args.n} --records {args.records}: the records would hold "
                           f"more than {_MAX_SAMPLES:,} samples at once")
+    if not 0.0 <= args.gamma <= 2.0:
+        raise ConfigError(f"--gamma {args.gamma:g}: must be in [0, 2]")
+    if not 0.0 < args.dt < math.inf:
+        raise ConfigError(f"--dt {args.dt:g}: must be finite and positive")
     t_m = args.dt * (args.n - 1)
-    # a dt that is not itself finite and positive is the synthesizer's error
-    if 0 < args.dt < math.inf and not all(0 < end < math.inf
-                                          for end in (10.0 / t_m, 0.25 / args.dt)):
+    if not all(0 < end < math.inf for end in (10.0 / t_m, 0.25 / args.dt)):
         raise ConfigError(f"--dt {args.dt:g}: the frequency grid from 10/t_m to 0.25/dt "
                           f"leaves the float range at --n {args.n}")
     import numpy as np

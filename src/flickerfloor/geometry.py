@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .units import InputError, Quantity, quantity
+from .units import InputError, Quantity, Record, quantity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,22 +29,19 @@ class GeometryError(InputError):
     """Invalid sample geometry or probe placement."""
 
 
-@dataclass(frozen=True)
-class SampleGeometry:
+class SampleGeometry(Record):
     """Cuboid sample, origin at one corner, axes along the edges.
 
     l is along the current, w across it, a the thickness; all in cm.
     """
 
-    l: float
-    w: float
-    a: float
+    __slots__ = ("l", "w", "a")
 
-    def __post_init__(self):
-        for name in ("l", "w", "a"):
-            v = getattr(self, name)
+    def __init__(self, l: float, w: float, a: float):
+        for name, v in (("l", l), ("w", w), ("a", a)):
             if not (math.isfinite(v) and v > 0):
                 raise GeometryError(f"sample dimension {name} must be positive, got {v}")
+        self._fill(locals())
 
     @property
     def dims(self) -> Point:
@@ -74,19 +70,18 @@ def _point(x) -> Optional[Point]:
     return p if len(p) == 3 and all(map(math.isfinite, p)) else None
 
 
-@dataclass(frozen=True)
-class ProbePair:
+class ProbePair(Record):
     """Positions of the two voltage probes, in cm, inside the closed cuboid."""
 
-    x1: Point
-    x2: Point
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        p1, p2 = _point(self.x1), _point(self.x2)
+    def __init__(self, x1: Point, x2: Point):
+        p1, p2 = _point(x1), _point(x2)
         if p1 is None or p2 is None:
             raise GeometryError("probe positions must be finite 3-vectors")
         if p1 == p2:
             raise GeometryError("the two probes must not coincide")
+        self._fill(locals())
 
     def validate_on(self, geom: SampleGeometry) -> None:
         for label, x in (("x1", self.x1), ("x2", self.x2)):
@@ -94,10 +89,13 @@ class ProbePair:
                 raise GeometryError(f"probe {label}={tuple(x)} lies outside the sample cuboid")
 
 
-@dataclass(frozen=True)
-class GeometricFactor:
-    value: Quantity                 # cm^-1
-    configuration: str              # "longitudinal" | "transverse"
+class GeometricFactor(Record):
+    """g as a Quantity in cm^-1, and its configuration: "longitudinal" or "transverse"."""
+
+    __slots__ = ("value", "configuration")
+
+    def __init__(self, value: Quantity, configuration: str):
+        self._fill(locals())
 
 
 def longitudinal_probes(geom: SampleGeometry) -> ProbePair:

@@ -14,17 +14,11 @@ exceeds the bound roughly by (hbar * 2 pi f * D * Omega)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (GeometricFactor, ProbePair, SampleGeometry,
                        geometric_factor, geometric_factor_transverse)
-from .units import CODATA2018, DIMENSIONLESS, InputError, Quantity, quantity
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .spectral import SpectrumSeries
+from .units import CODATA2018, DIMENSIONLESS, InputError, Quantity, Record, quantity
 
 
 class NoiseFloorError(InputError):
@@ -35,82 +29,97 @@ class MissingPiezoDataError(NoiseFloorError):
     """No piezoelectric coupling available; fall back to gamma = 1."""
 
 
-@dataclass(frozen=True)
-class CarrierSpecies:
+class CarrierSpecies(Record):
     """One charge-carrier species: label, effective mass in units of m0."""
 
-    label: str
-    mass_m0: float
+    __slots__ = ("label", "mass_m0")
 
-    def __post_init__(self):
-        if not self.mass_m0 > 0:
-            raise NoiseFloorError(f"carrier '{self.label}': effective mass must be positive")
+    def __init__(self, label: str, mass_m0: float):
+        if not mass_m0 > 0:
+            raise NoiseFloorError(f"carrier '{label}': effective mass must be positive")
+        self._fill(locals())
 
     @property
     def mass(self) -> Quantity:
         return self.mass_m0 * CODATA2018.m0
 
 
-@dataclass(frozen=True)
-class Material:
-    """Material parameters entering kappa, delta, f* and the validity bound."""
+class Material(Record):
+    """Material parameters entering kappa, delta, f* and the validity bound.
 
-    name: str
-    carriers: tuple[CarrierSpecies, ...]
-    rho0: Quantity                      # mass density, g/cm^3
-    u: Quantity                         # sound velocity, cm/s
-    d: Quantity                         # lattice constant, cm
-    dos: Quantity                       # density of states, 1/(erg*cm^3)
-    h14: Optional[Quantity] = None      # piezoelectric constant, statvolt/cm
-    m2_lambda: Optional[Quantity] = None  # angular mean coupling, erg^2/cm^2
-    acoustic_match: str = "matched"     # "matched" | "reflecting"
+    In CGS: mass density rho0 (g/cm^3), sound velocity u (cm/s), lattice
+    constant d (cm), density of states dos (1/(erg*cm^3)) and, when known,
+    the piezoelectric constant h14 (statvolt/cm) or the angular mean coupling
+    m2_lambda (erg^2/cm^2).  acoustic_match is "matched" or "reflecting".
+    """
 
-    def __post_init__(self):
-        if not self.carriers:
+    __slots__ = ("name", "carriers", "rho0", "u", "d", "dos", "h14", "m2_lambda",
+                 "acoustic_match")
+
+    def __init__(self, name: str, carriers: tuple[CarrierSpecies, ...], rho0: Quantity,
+                 u: Quantity, d: Quantity, dos: Quantity, h14: Optional[Quantity] = None,
+                 m2_lambda: Optional[Quantity] = None, acoustic_match: str = "matched"):
+        if not carriers:
+            raise NoiseFloorError(f"material '{name}': needs at least one carrier species")
+        for field, q in (("rho0", rho0), ("u", u), ("d", d), ("dos", dos)):
+            if not q.value > 0:
+                raise NoiseFloorError(f"material '{name}': {field} must be positive")
+        if acoustic_match not in ("matched", "reflecting"):
             raise NoiseFloorError(
-                f"material '{self.name}': needs at least one carrier species")
-        for name in ("rho0", "u", "d", "dos"):
-            if not getattr(self, name).value > 0:
-                raise NoiseFloorError(f"material '{self.name}': {name} must be positive")
-        if self.acoustic_match not in ("matched", "reflecting"):
-            raise NoiseFloorError(
-                f"material '{self.name}': acoustic_match must be 'matched' or 'reflecting'")
+                f"material '{name}': acoustic_match must be 'matched' or 'reflecting'")
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class ValidityBound:
-    """Frequency range where the finite-measurement-time bound applies."""
+class ValidityBound(Record):
+    """Frequency range where the finite-measurement-time bound applies: up to
+    fmax (Hz), with hbar_d_omega = hbar*D*Omega in seconds."""
 
-    fmax: Quantity    # Hz
-    hbar_d_omega: float  # hbar*D*Omega, seconds
+    __slots__ = ("fmax", "hbar_d_omega")
 
-    def excess_factor(self, f_hz) -> np.ndarray:
+    def __init__(self, fmax: Quantity, hbar_d_omega: float):
+        self._fill(locals())
+
+    def excess_factor(self, f_hz: float) -> float:
         """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax.
 
         A frequency at which the factor overflows is a NoiseFloorError.
         """
-        import numpy as np
-
-        f = np.asarray(f_hz, dtype=float)
-        with np.errstate(over="ignore"):
-            excess = (2.0 * np.pi * f * self.hbar_d_omega) ** 2
-        bad = ~np.isfinite(excess)
-        if bad.any():
-            raise NoiseFloorError(f"f = {f[bad].flat[0]:g} Hz: the excess factor "
+        x = 2.0 * math.pi * f_hz * self.hbar_d_omega
+        if not math.isfinite(x * x):
+            raise NoiseFloorError(f"f = {f_hz:g} Hz: the excess factor "
                                   "(2*pi*f*hbar*D*Omega)^2 overflows")
-        return excess
+        return x * x
 
 
-@dataclass(frozen=True)
-class NoiseFloorModel:
+class SpectrumSeries(Record):
+    """(f, S(f)) on a strictly increasing grid, with per-point standard errors.
+
+    The three are sequences of floats, lists or arrays.  Each annotation is a
+    per-point sequence (a flag or a factor); the CLI's spectrum and estimate
+    tables print it as one more column.
+    """
+
+    __slots__ = ("f", "value", "stderr", "annotations")
+
+    def __init__(self, f: Sequence[float], value: Sequence[float], stderr: Sequence[float],
+                 annotations: Optional[dict] = None):
+        if any(b <= a for a, b in zip(f, f[1:])):
+            raise NoiseFloorError("frequency grid must be strictly increasing")
+        if not (all(map(math.isfinite, value)) and all(map(math.isfinite, stderr))):
+            raise NoiseFloorError("spectrum values must be finite")
+        annotations = {} if annotations is None else annotations
+        self._fill(locals())
+
+
+class NoiseFloorModel(Record):
     """Evaluated floor: kappa (with the (f*)^delta factor folded in), gamma
-    = 1 + delta, and validity limit fmax."""
+    = 1 + delta, validity limit fmax, its bound and the model's caveats."""
 
-    kappa: float
-    gamma: float
-    fmax: Quantity
-    bound: ValidityBound
-    caveats: tuple[str, ...] = ()
+    __slots__ = ("kappa", "gamma", "fmax", "bound", "caveats")
+
+    def __init__(self, kappa: float, gamma: float, fmax: Quantity, bound: ValidityBound,
+                 caveats: tuple[str, ...] = ()):
+        self._fill(locals())
 
 
 def kappa(g: GeometricFactor, material: Material, single_species: bool = False) -> float:
@@ -211,24 +220,24 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
     """Floor spectrum S_F(f) = kappa * U0^2 / |f|^gamma on a frequency grid.
 
     Values are in V^2/Hz (times Hz^delta when gamma > 1).  Points beyond the
-    validity limit are flagged and annotated with the excess factor.  A floor
-    that is not finite at some grid point is a NoiseFloorError.
+    validity limit are flagged and annotated with the excess factor; the
+    series holds lists.  A floor that is not finite at some grid point is a
+    NoiseFloorError.
     """
-    import numpy as np
-
-    from .spectral import SpectrumSeries
-
-    f = np.asarray(f_grid, dtype=float)
-    if np.any(f == 0.0):
+    f = [float(x) for x in f_grid]
+    if 0.0 in f:
         raise NoiseFloorError("the floor spectrum diverges at f = 0")
     u0_volts = u0.to("V")
-    with np.errstate(all="ignore"):  # a numpy float squares to inf, not OverflowError
-        s = model.kappa * np.float64(u0_volts) ** 2 / np.abs(f) ** model.gamma
-    if not np.all(np.isfinite(s)):
+    try:
+        k = model.kappa * u0_volts ** 2
+        s = [k / abs(x) ** model.gamma for x in f]
+    except (OverflowError, ZeroDivisionError):  # |f|^gamma may underflow to 0
+        s = [math.inf]
+    if not all(map(math.isfinite, s)):
         raise NoiseFloorError(f"U0 = {u0_volts:g} V: the floor kappa*U0^2/|f|^gamma "
                               "is not finite on this grid")
-    beyond = np.abs(f) > model.fmax.to("Hz")
-    excess = np.where(beyond, model.bound.excess_factor(np.abs(f)), 1.0)
-    return SpectrumSeries(f=f, value=s, stderr=np.zeros_like(s),
-                          annotations={"beyond_validity": beyond,
-                                       "excess_factor": excess})
+    fmax = model.fmax.to("Hz")
+    beyond = [abs(x) > fmax for x in f]
+    excess = [model.bound.excess_factor(abs(x)) if b else 1.0 for x, b in zip(f, beyond)]
+    return SpectrumSeries(f=f, value=s, stderr=[0.0] * len(s),
+                          annotations={"beyond_validity": beyond, "excess_factor": excess})

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .units import InputError
+from .noise_floor import SpectrumSeries
+from .units import InputError, Record
 
 
 class SpectralError(InputError):
@@ -50,22 +49,20 @@ class SpectralError(InputError):
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignalRecord:
+class SignalRecord(Record):
     """Uniformly sampled voltage fluctuation record (volts, seconds)."""
 
-    samples: np.ndarray
-    dt: float
+    __slots__ = ("samples", "dt")
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
+    def __init__(self, samples: np.ndarray, dt: float):
+        samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise SpectralError("a signal record needs at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise SpectralError("signal samples must be finite")
-        if not self.dt > 0:
-            raise SpectralError(f"sampling step must be positive, got {self.dt}")
+        if not dt > 0:
+            raise SpectralError(f"sampling step must be positive, got {dt}")
+        self._fill(locals())
 
     @property
     def n(self) -> int:
@@ -76,32 +73,7 @@ class SignalRecord:
         return self.dt * (self.n - 1)
 
 
-@dataclass(frozen=True)
-class SpectrumSeries:
-    """(f, S(f)) result arrays, with per-point standard errors.
-
-    Each annotation is a per-point array (a flag or a factor); the CLI's
-    spectrum and estimate tables print it as one more column.
-    """
-
-    f: np.ndarray
-    value: np.ndarray
-    stderr: np.ndarray
-    annotations: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
-        object.__setattr__(self, "stderr", np.asarray(self.stderr, dtype=float))
-        if np.any(np.diff(f) <= 0):
-            raise SpectralError("frequency grid must be strictly increasing")
-        if not (np.all(np.isfinite(self.value)) and np.all(np.isfinite(self.stderr))):
-            raise SpectralError("spectrum values must be finite")
-
-
-@dataclass(frozen=True)
-class CovarianceModel:
+class CovarianceModel(Record):
     """Covariance S(tau) models for the Sigma(f) construction.
 
     kinds: "log-law"  ln(a_cov + (tau/tau0)^2)
@@ -109,20 +81,19 @@ class CovarianceModel:
            "user-function"  func(tau), vectorized over numpy arrays
     """
 
-    kind: str
-    tau0: float = 1.0
-    a_cov: float = 1.0
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    __slots__ = ("kind", "tau0", "a_cov", "func")
 
-    def __post_init__(self):
-        if self.kind not in ("log-law", "exponential", "user-function"):
-            raise SpectralError(f"unknown covariance kind '{self.kind}'")
-        if not self.tau0 > 0:
+    def __init__(self, kind: str, tau0: float = 1.0, a_cov: float = 1.0,
+                 func: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        if kind not in ("log-law", "exponential", "user-function"):
+            raise SpectralError(f"unknown covariance kind '{kind}'")
+        if not tau0 > 0:
             raise SpectralError("tau0 must be positive")
-        if self.kind == "log-law" and not self.a_cov > 0:
+        if kind == "log-law" and not a_cov > 0:
             raise SpectralError("log-law covariance needs a_cov > 0")
-        if self.kind == "user-function" and self.func is None:
+        if kind == "user-function" and func is None:
             raise SpectralError("user-function covariance needs func")
+        self._fill(locals())
 
     def evaluate(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -143,14 +114,15 @@ class CovarianceModel:
         return np.asarray(self.func(tau), dtype=float)
 
 
-@dataclass(frozen=True)
-class WkIdentityResult:
-    """Both finite-time log-kernel integrals, their difference and the limit."""
+class WkIdentityResult(Record):
+    """Both finite-time log-kernel integrals, their difference and the limit:
+    lhs1 = Re int_{-tm}^{tm} ln|tau| e^{iw tau} dtau, lhs2 = (1/tm) times the
+    same integral of |tau| ln|tau|, and target = -pi/|w|."""
 
-    lhs1: float          # int_{-tm}^{tm} ln|tau| e^{iw tau} dtau (real part)
-    lhs2: float          # (1/tm) int_{-tm}^{tm} |tau| ln|tau| e^{iw tau} dtau
-    difference: float
-    target: float        # -pi/|w|
+    __slots__ = ("lhs1", "lhs2", "difference", "target")
+
+    def __init__(self, lhs1: float, lhs2: float, difference: float, target: float):
+        self._fill(locals())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +270,9 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     cos(pi j/m), the map from their values to the coefficients of the
     interpolant sum a_n T_n, and the derivative maps T_n^(r)(1) and
     T_n^(r)(-1) as arrays [r, n], r, n = 0..m.  Built on first use, so that
-    importing the module runs no linear algebra."""
+    importing the module runs no linear algebra and loads no numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
     m = _CHEB_DEGREE
     j = np.arange(m + 1)
     to_coeffs = (2.0 / m) * np.cos(np.pi * np.outer(j, j) / m)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -27,14 +26,64 @@ class DimensionError(TypeError):
     """Incompatible dimensions; not an InputError, since user paths wrap it."""
 
 
-@dataclass(frozen=True)
-class Dimension:
+_set = object.__setattr__  # sets a field of a Record, whose own setattr refuses
+
+
+class Record:
+    """Base of the package's records: read-only fields and value equality.
+
+    A subclass names its fields in __slots__, and its __init__ takes them in
+    that order, checks them and sets them once: _fill(locals()) sets them
+    all, _set one.  Two records are equal when their types and fields are;
+    records have no order and are not sequences.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fill(self, fields: dict) -> None:
+        for name in self.__slots__:
+            _set(self, name, fields[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._fields())
+
+    def __reduce__(self):  # copy and pickle build a record anew
+        return type(self), self._fields()
+
+
+class Dimension(Record):
     """Exponents over the Gaussian-CGS base (length, mass, time), each an
     int counting halves: cm^(3/2) has length_halves = 3."""
 
-    length_halves: int = 0
-    mass_halves: int = 0
-    time_halves: int = 0
+    __slots__ = ("length_halves", "mass_halves", "time_halves")
+
+    def __init__(self, length_halves: int = 0, mass_halves: int = 0, time_halves: int = 0):
+        _set(self, "length_halves", length_halves)
+        _set(self, "mass_halves", mass_halves)
+        _set(self, "time_halves", time_halves)
+
+    def __eq__(self, other):  # every sum and conversion compares dimensions
+        if type(other) is not Dimension:
+            return NotImplemented
+        return (self.length_halves == other.length_halves
+                and self.mass_halves == other.mass_halves
+                and self.time_halves == other.time_halves)
+
+    __hash__ = Record.__hash__
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(self.length_halves + other.length_halves,
@@ -70,12 +119,14 @@ FREQUENCY = DIMENSIONLESS / TIME
 VOLTAGE = ENERGY / CHARGE  # statvolt
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A float value with a physical dimension, stored in CGS base units."""
 
-    value: float
-    dim: Dimension = DIMENSIONLESS
+    __slots__ = ("value", "dim")
+
+    def __init__(self, value: float, dim: Dimension = DIMENSIONLESS):
+        _set(self, "value", value)
+        _set(self, "dim", dim)
 
     def _require_same_dim(self, other: "Quantity", op: str) -> None:
         if self.dim != other.dim:
@@ -244,15 +295,14 @@ def parse_quantity(text: str) -> Quantity:
     return q
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """Physical constants, CODATA 2018, Gaussian-CGS."""
+class ConstantsTable(Record):
+    """Physical constants, CODATA 2018, Gaussian-CGS: the elementary charge e
+    (esu), electron mass m0 (g), hbar (erg*s), c (cm/s) and eV (erg)."""
 
-    e: Quantity        # elementary charge, esu
-    m0: Quantity       # electron mass, g
-    hbar: Quantity     # erg*s
-    c: Quantity        # cm/s
-    eV: Quantity       # erg
+    __slots__ = ("e", "m0", "hbar", "c", "eV")
+
+    def __init__(self, e: Quantity, m0: Quantity, hbar: Quantity, c: Quantity, eV: Quantity):
+        self._fill(locals())
 
 
 CODATA2018 = ConstantsTable(

@@ -10,34 +10,36 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from . import geometry, noise_floor
 from .geometry import ProbePair, SampleGeometry
 from .noise_floor import CarrierSpecies, Material
-from .units import DimensionError, InputError, Quantity, UnitsError, parse_quantity, quantity
+from .units import (DimensionError, InputError, Quantity, Record, UnitsError, parse_quantity,
+                    quantity)
 
 
 class ConfigError(InputError):
     """Malformed catalog config; message names the section and field."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    sample_id: str
-    geom: SampleGeometry
-    probes_longitudinal: ProbePair
-    probes_transverse: ProbePair
-    material: Material
-    g_override: Optional[float] = None       # cm^-1, published reference value
-    g_tr_override: Optional[float] = None    # cm^-1
-    kappa_exp: Optional[float] = None
-    kappa_exp_transverse: Optional[float] = None
-    gamma_exp: Optional[float] = None
-    delta_override: Optional[float] = None
-    annotation: str = ""
+class CatalogEntry(Record):
+    """One catalog sample.  g_override and g_tr_override are its published g
+    in cm^-1, when tabulated; delta_override a measured exponent shift."""
+
+    __slots__ = ("sample_id", "geom", "probes_longitudinal", "probes_transverse", "material",
+                 "g_override", "g_tr_override", "kappa_exp", "kappa_exp_transverse",
+                 "gamma_exp", "delta_override", "annotation")
+
+    def __init__(self, sample_id: str, geom: SampleGeometry, probes_longitudinal: ProbePair,
+                 probes_transverse: ProbePair, material: Material,
+                 g_override: Optional[float] = None, g_tr_override: Optional[float] = None,
+                 kappa_exp: Optional[float] = None,
+                 kappa_exp_transverse: Optional[float] = None,
+                 gamma_exp: Optional[float] = None, delta_override: Optional[float] = None,
+                 annotation: str = ""):
+        self._fill(locals())
 
     def probes(self, mode: str) -> ProbePair:
         return self.probes_longitudinal if mode == "longitudinal" else self.probes_transverse
@@ -50,10 +52,13 @@ class CatalogEntry:
                                        delta_override=self.delta_override, g=g)
 
 
-@dataclass
-class Report:
-    columns: list[str]
-    rows: list[dict]
+class Report(Record):
+    """A table: its column names, and one dict per row keyed by them."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: list[str], rows: list[dict]):
+        self._fill(locals())
 
     @property
     def failures(self) -> list[dict]:

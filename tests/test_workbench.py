@@ -477,8 +477,13 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--fmin", "nan"], "--fmin nan"),
     (["spectrum", "--sample", "V1", "--fmax", "inf"], "--fmax inf"),
     (["spectrum", "--sample", "V1", "--fmin=-inf"], "--fmin -inf"),
-    (["estimate", "--dt", "inf"], "dt must be finite"),
-    (["estimate", "--dt", "nan"], "dt must be finite"),
+    (["estimate", "--dt", "inf"], "--dt inf"),
+    (["estimate", "--dt", "nan"], "--dt nan"),
+    (["estimate", "--dt", "0"], "--dt 0"),
+    (["estimate", "--dt", "-1"], "--dt -1"),
+    (["estimate", "--gamma", "3"], "--gamma 3"),
+    (["estimate", "--gamma", "nan"], "--gamma nan"),
+    (["spectrum", "--sample", "V1", "--fmax", "1.7976931348623157e308"], "--fmax 1.79769"),
     (["spectrum", "--sample", "V1", "--u0", "nan mV"], "--u0 'nan mV'"),
     (["spectrum", "--sample", "V1", "--u0", "inf V"], "--u0 'inf V'"),
     (["spectrum", "--sample", "V1", "--u0", "1 V^-400"], "--u0 '1 V^-400'"),
@@ -489,7 +494,9 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
-    # must be finite", inf after a numpy RuntimeWarning (an error here); the
+    # must be finite", inf after a numpy RuntimeWarning (an error here), and
+    # the --gamma and --dt ranges in the synthesizer's messages, which named
+    # no flag; a grid point past the largest float once ended in a warning; the
     # overflowing unit powers and the overflowing floor ended in an
     # OverflowError traceback; --points had no ceiling, and at 2e9 points its
     # grid alone would take 16 GB, nor had estimate's records, which at
@@ -568,13 +575,20 @@ SCALAR_QUESTIONS = [
     (["estimate", "--records", "0"], 1),
     (["spectrum", "--sample", "V1", "--points", "1000001"], 1),
     (["estimate", "--n", str(2 ** 27), "--records", "32"], 1),
+    (["estimate", "--gamma", "3"], 1),
+    (["estimate", "--gamma", "nan"], 1),
+    (["estimate", "--dt", "0"], 1),
+    (["estimate", "--dt", "-1"], 1),
+    (["spectrum", "--sample", "V80"], 0),
+    (["spectrum", "--config", str(CONFIGS / "ybco.cfg"), "--sample", "bulk-B",
+      "--mode", "transverse"], 0),
 ]
 
 
 def ask_in_process(argvs):
-    """[exit code, whether stdout got text, which of numpy, spectral, fractions
-    and decimal are loaded] after each argv, asked in turn in one fresh
-    interpreter."""
+    """[exit code, whether stdout got text, which of numpy, spectral,
+    numpy.polynomial, fractions, decimal and dataclasses are loaded] after
+    each argv, asked in turn in one fresh interpreter."""
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import flickerfloor, flickerfloor.cli
@@ -583,7 +597,8 @@ def ask_in_process(argvs):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = flickerfloor.cli.main(argv)
-            loaded = [m for m in ("numpy", "flickerfloor.spectral", "fractions", "decimal")
+            loaded = [m for m in ("numpy", "flickerfloor.spectral", "numpy.polynomial",
+                                  "fractions", "decimal", "dataclasses")
                       if m in sys.modules]
             answers.append([code, bool(out.getvalue()), loaded])
         print(json.dumps(answers))
@@ -592,15 +607,20 @@ def ask_in_process(argvs):
 
 
 def test_scalar_questions_import_no_numpy():
-    # fractions (and decimal, which it imports) would add 3-5 ms to each cold process
+    # fractions (and decimal, which it imports) would add 3-5 ms to each cold
+    # process, and dataclasses about 12 ms
     answers = ask_in_process([argv for argv, _ in SCALAR_QUESTIONS])
     for (argv, want_code), (code, printed, loaded) in zip(SCALAR_QUESTIONS, answers, strict=True):
         assert (code, printed, loaded) == (want_code, want_code == 0, []), argv
 
 
 def test_array_questions_import_no_fractions():
-    # the spectral kernels reduced their phases with Fraction arithmetic
-    argvs = [["spectrum", "--sample", "V80"], ["estimate", "--n", "256", "--records", "2"],
-             ["verify-wk"]]
-    for argv, answer in zip(argvs, ask_in_process(argvs), strict=True):
-        assert answer == [0, True, ["numpy", "flickerfloor.spectral"]], argv
+    # the spectral kernels reduced their phases with Fraction arithmetic; the
+    # estimator needs no Gauss rule, so estimate loads no numpy.polynomial
+    # unless importing numpy does (numpy 1.x)
+    eager = run_python("import sys, numpy; print('numpy.polynomial' in sys.modules)")
+    polynomial = ["numpy.polynomial"]
+    answers = ask_in_process([["estimate", "--n", "256", "--records", "2"], ["verify-wk"]])
+    assert answers == [[0, True, ["numpy", "flickerfloor.spectral"]
+                        + polynomial * (eager == "True\n")],
+                       [0, True, ["numpy", "flickerfloor.spectral", *polynomial]]]
