@@ -18,7 +18,7 @@ from .units import DimensionError, InputError, UnitsError, parse_quantity, quant
 from .workbench import ConfigError
 
 
-_MAX_POINTS = 1_000_000  # spectrum points; each takes about 140 bytes of arrays and CSV text
+_MAX_POINTS = 1_000_000  # spectrum points; each takes about 245 bytes of lists and CSV text
 # estimate samples, --n times --records, all held at once as float64: 512 MiB
 # at the ceiling, next to which the FFT and estimator transients are small
 _MAX_SAMPLES = 2 ** 26
@@ -192,14 +192,13 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--points {args.points}: must be >= 0")
     if args.points > _MAX_POINTS:
         raise ConfigError(f"--points {args.points}: must be at most {_MAX_POINTS:,}")
-    # np.logspace's grid: exponents start + i*step, the last one exactly log10(fmax)
+    # np.logspace's grid: exponents start + i*step, the last of two or more
+    # exactly log10(fmax)
     start, stop = math.log10(args.fmin), math.log10(args.fmax)
-    step = (stop - start) / max(args.points - 1, 1)
-    y = [start + i * step for i in range(args.points)]
-    if args.points > 1:
-        y[-1] = stop
+    last = max(args.points - 1, 1)
+    step = (stop - start) / last
     try:
-        f = [10.0 ** v for v in y]
+        f = [10.0 ** (start + i * step if i < last else stop) for i in range(args.points)]
     except OverflowError as err:  # 10^log10(fmax) may round past the largest float
         raise ConfigError(f"--fmax {args.fmax}: the grid leaves the float range") from err
     _write_table(noise_floor.evaluate_spectrum(model, u0, f), args.output)

@@ -85,10 +85,11 @@ class ValidityBound(Record):
         A frequency at which the factor overflows is a NoiseFloorError.
         """
         x = 2.0 * math.pi * f_hz * self.hbar_d_omega
-        if not math.isfinite(x * x):
+        excess = x * x
+        if not math.isfinite(excess):
             raise NoiseFloorError(f"f = {f_hz:g} Hz: the excess factor "
                                   "(2*pi*f*hbar*D*Omega)^2 overflows")
-        return x * x
+        return excess
 
 
 class SpectrumSeries(Record):
