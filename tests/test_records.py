@@ -71,13 +71,16 @@ def test_every_record_type_is_listed():
     assert len(RECORDS) == 16
 
 
+def test_numpy_scalars_take_quantity_arithmetic():
+    # a sequence would become an array here instead
+    q = units.quantity(2.0, "cm")
+    product, quotient = np.float64(3.0) * q, np.float64(3.0) / q
+    assert type(product) is units.Quantity and product == units.quantity(6.0, "cm")
+    assert type(quotient) is units.Quantity and quotient == units.quantity(1.5, "1/cm")
+
+
 @pytest.mark.parametrize("q", [units.quantity(2.0, "cm"), units.CHARGE],
                          ids=["Quantity", "Dimension"])
-def test_quantity_and_dimension_are_not_sequences_nor_ordered(q):
-    if isinstance(q, units.Quantity):
-        # numpy scalars defer to Quantity's own arithmetic, as for any object
-        assert type(np.float64(3.0) * q) is units.Quantity
-        assert type(np.float64(3.0) / q) is units.Quantity
-        assert (np.float64(3.0) * q).value == 6.0
+def test_quantity_and_dimension_have_no_order(q):
     with pytest.raises(TypeError):
         q < q
