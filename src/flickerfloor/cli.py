@@ -10,6 +10,7 @@ plain arithmetic on its grid, and no path imports dataclasses.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -18,7 +19,7 @@ from .units import DimensionError, InputError, UnitsError, parse_quantity, quant
 from .workbench import ConfigError
 
 
-_MAX_POINTS = 1_000_000  # spectrum points; each takes about 245 bytes of lists and CSV text
+_MAX_POINTS = 1_000_000  # spectrum points; each takes about 115 bytes of float lists
 # estimate samples, --n times --records, all held at once as float64: 512 MiB
 # at the ceiling, next to which the FFT and estimator transients are small
 _MAX_SAMPLES = 2 ** 26
@@ -121,12 +122,13 @@ def _write_table(table, output) -> None:
     def cell(v):
         return "" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
 
-    text = ",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+    # written as formatted: a million-point spectrum is never held as text
+    lines = (",".join(map(cell, row)) + "\n" for row in itertools.chain([header], rows))
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def cmd_factor(args) -> int:
@@ -149,7 +151,7 @@ def cmd_kappa(args) -> int:
         if override is None:
             raise ConfigError(f"sample '{args.sample}' has no tabulated g for "
                               f"mode '{args.mode}'")
-        g = geometry.GeometricFactor(quantity(override, "cm^-1"), args.mode)
+        g = geometry.GeometricFactor(quantity(override, "cm^-1"))
     model = entry.model(args.mode, args.single_species, g)
     print(f"kappa = {model.kappa:.6g}  gamma = {model.gamma:.6g}  "
           f"fmax = {model.fmax.to('Hz'):.6g} Hz")
@@ -212,6 +214,8 @@ def cmd_estimate(args) -> int:
     if args.n <= 41:
         raise ConfigError(f"--n {args.n}: must exceed 41, or the frequency grid "
                           "from 10/t_m to 0.25/dt runs backwards")
+    if args.n & (args.n - 1):
+        raise ConfigError(f"--n {args.n}: must be a power of two")
     if args.records < 1:
         raise ConfigError(f"--records {args.records}: must be at least 1")
     if args.n * args.records > _MAX_SAMPLES:

@@ -51,10 +51,6 @@ class SampleGeometry(Record):
     def volume(self) -> float:
         return self.l * self.w * self.a
 
-    def contains(self, x) -> bool:
-        p = _point(x)
-        return p is not None and all(0.0 <= c <= d for c, d in zip(p, self.dims))
-
 
 def _point(x) -> Optional[Point]:
     """x as a tuple of 3 floats, or None unless it is a finite 3-vector.
@@ -85,16 +81,16 @@ class ProbePair(Record):
 
     def validate_on(self, geom: SampleGeometry) -> None:
         for label, x in (("x1", self.x1), ("x2", self.x2)):
-            if not geom.contains(x):
+            if not all(0.0 <= c <= d for c, d in zip(_point(x), geom.dims)):
                 raise GeometryError(f"probe {label}={tuple(x)} lies outside the sample cuboid")
 
 
 class GeometricFactor(Record):
-    """g as a Quantity in cm^-1, and its configuration: "longitudinal" or "transverse"."""
+    """g as a Quantity in cm^-1."""
 
-    __slots__ = ("value", "configuration")
+    __slots__ = ("value",)
 
-    def __init__(self, value: Quantity, configuration: str):
+    def __init__(self, value: Quantity):
         self._fill(locals())
 
 
@@ -297,7 +293,7 @@ def geometric_factor(geom: SampleGeometry, probes: ProbePair,
                      method: str = "closed_form") -> GeometricFactor:
     """Longitudinal geometric factor g, in cm^-1."""
     g = _probe_integral_sum(geom, probes, method) / (3.0 * geom.volume)
-    return GeometricFactor(quantity(g, "cm^-1"), "longitudinal")
+    return GeometricFactor(quantity(g, "cm^-1"))
 
 
 def geometric_factor_transverse(geom: SampleGeometry, probes: ProbePair,
@@ -305,4 +301,4 @@ def geometric_factor_transverse(geom: SampleGeometry, probes: ProbePair,
     """Transverse geometric factor g_tr = (w/l)^2 * g, in cm^-1."""
     scale = (geom.w / geom.l) ** 2 / (3.0 * geom.volume)
     g_tr = _probe_integral_sum(geom, probes, method) * scale
-    return GeometricFactor(quantity(g_tr, "cm^-1"), "transverse")
+    return GeometricFactor(quantity(g_tr, "cm^-1"))

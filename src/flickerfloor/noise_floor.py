@@ -35,8 +35,9 @@ class CarrierSpecies(Record):
     __slots__ = ("label", "mass_m0")
 
     def __init__(self, label: str, mass_m0: float):
-        if not mass_m0 > 0:
-            raise NoiseFloorError(f"carrier '{label}': effective mass must be positive")
+        if not 0 < mass_m0 < math.inf:
+            raise NoiseFloorError(f"carrier '{label}': effective mass must be finite and "
+                                  "positive")
         self._fill(locals())
 
     @property
@@ -70,28 +71,6 @@ class Material(Record):
         self._fill(locals())
 
 
-class ValidityBound(Record):
-    """Frequency range where the finite-measurement-time bound applies: up to
-    fmax (Hz), with hbar_d_omega = hbar*D*Omega in seconds."""
-
-    __slots__ = ("fmax", "hbar_d_omega")
-
-    def __init__(self, fmax: Quantity, hbar_d_omega: float):
-        self._fill(locals())
-
-    def excess_factor(self, f_hz: float) -> float:
-        """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax.
-
-        A frequency at which the factor overflows is a NoiseFloorError.
-        """
-        x = 2.0 * math.pi * f_hz * self.hbar_d_omega
-        excess = x * x
-        if not math.isfinite(excess):
-            raise NoiseFloorError(f"f = {f_hz:g} Hz: the excess factor "
-                                  "(2*pi*f*hbar*D*Omega)^2 overflows")
-        return excess
-
-
 class SpectrumSeries(Record):
     """(f, S(f)) on a strictly increasing grid, with per-point standard errors.
 
@@ -114,13 +93,26 @@ class SpectrumSeries(Record):
 
 class NoiseFloorModel(Record):
     """Evaluated floor: kappa (with the (f*)^delta factor folded in), gamma
-    = 1 + delta, validity limit fmax, its bound and the model's caveats."""
+    = 1 + delta, the validity limit fmax = 1/(2 pi hbar D Omega) (Hz), with
+    hbar_d_omega = hbar*D*Omega in seconds, and the model's caveats."""
 
-    __slots__ = ("kappa", "gamma", "fmax", "bound", "caveats")
+    __slots__ = ("kappa", "gamma", "fmax", "hbar_d_omega", "caveats")
 
-    def __init__(self, kappa: float, gamma: float, fmax: Quantity, bound: ValidityBound,
+    def __init__(self, kappa: float, gamma: float, fmax: Quantity, hbar_d_omega: float,
                  caveats: tuple[str, ...] = ()):
         self._fill(locals())
+
+    def excess_factor(self, f_hz: float) -> float:
+        """(hbar * omega * D * Omega)^2 with omega = 2*pi*f; 1 at fmax.
+
+        A frequency at which the factor overflows is a NoiseFloorError.
+        """
+        x = 2.0 * math.pi * f_hz * self.hbar_d_omega
+        excess = x * x
+        if not math.isfinite(excess):
+            raise NoiseFloorError(f"f = {f_hz:g} Hz: the excess factor "
+                                  "(2*pi*f*hbar*D*Omega)^2 overflows")
+        return excess
 
 
 def kappa(g: GeometricFactor, material: Material, single_species: bool = False) -> float:
@@ -169,14 +161,6 @@ def corner_frequency(material: Material) -> Quantity:
     return material.u / material.d
 
 
-def validity_bound(material: Material, geom: SampleGeometry) -> ValidityBound:
-    """fmax = 1/(2 pi hbar D Omega), the upper edge of the validity range."""
-    hbar_d_omega = (CODATA2018.hbar * material.dos * quantity(geom.volume, "cm^3"))
-    assert hbar_d_omega.dim == quantity(1.0, "s").dim
-    fmax = 1.0 / (2.0 * math.pi * hbar_d_omega)
-    return ValidityBound(fmax=fmax, hbar_d_omega=hbar_d_omega.value)
-
-
 def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
                 configuration: str = "longitudinal", single_species: bool = False,
                 delta_override: Optional[float] = None,
@@ -197,8 +181,8 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
     caveats = []
     if delta_override is not None:
         delta = float(delta_override)
-        if delta < 0:
-            raise NoiseFloorError("delta_override must be >= 0")
+        if not delta >= 0:
+            raise NoiseFloorError(f"delta_override must be >= 0, got {delta:g}")
         caveats.append("delta from measured exponent")
     else:
         try:
@@ -211,10 +195,18 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
     k = kappa(g, material, single_species=single_species)
     if delta > 0:
         # f* enters in Hz; the exponent shift makes kappa carry Hz^delta
-        k *= corner_frequency(material).to("Hz") ** delta
-    bound = validity_bound(material, geom)
-    return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fmax=bound.fmax, bound=bound,
-                           caveats=tuple(caveats))
+        try:
+            k *= corner_frequency(material).to("Hz") ** delta
+        except OverflowError:
+            k = math.inf
+    if not 0 < k < math.inf:
+        raise NoiseFloorError(f"material '{material.name}': kappa = {k:g} is not finite "
+                              "and positive")
+    hbar_d_omega = CODATA2018.hbar * material.dos * quantity(geom.volume, "cm^3")
+    assert hbar_d_omega.dim == quantity(1.0, "s").dim
+    return NoiseFloorModel(kappa=k, gamma=1.0 + delta,
+                           fmax=1.0 / (2.0 * math.pi * hbar_d_omega),
+                           hbar_d_omega=hbar_d_omega.value, caveats=tuple(caveats))
 
 
 def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumSeries:
@@ -239,6 +231,6 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
                               "is not finite on this grid")
     fmax = model.fmax.to("Hz")
     beyond = [abs(x) > fmax for x in f]
-    excess = [model.bound.excess_factor(abs(x)) if b else 1.0 for x, b in zip(f, beyond)]
+    excess = [model.excess_factor(abs(x)) if b else 1.0 for x, b in zip(f, beyond)]
     return SpectrumSeries(f=f, value=s, stderr=[0.0] * len(s),
                           annotations={"beyond_validity": beyond, "excess_factor": excess})

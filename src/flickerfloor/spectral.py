@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,31 +68,23 @@ class SignalRecord(Record):
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def t_m(self) -> float:
-        return self.dt * (self.n - 1)
-
 
 class CovarianceModel(Record):
     """Covariance S(tau) models for the Sigma(f) construction.
 
     kinds: "log-law"  ln(a_cov + (tau/tau0)^2)
            "exponential"  exp(-|tau|/tau0)
-           "user-function"  func(tau), vectorized over numpy arrays
     """
 
-    __slots__ = ("kind", "tau0", "a_cov", "func")
+    __slots__ = ("kind", "tau0", "a_cov")
 
-    def __init__(self, kind: str, tau0: float = 1.0, a_cov: float = 1.0,
-                 func: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        if kind not in ("log-law", "exponential", "user-function"):
+    def __init__(self, kind: str, tau0: float = 1.0, a_cov: float = 1.0):
+        if kind not in ("log-law", "exponential"):
             raise SpectralError(f"unknown covariance kind '{kind}'")
         if not tau0 > 0:
             raise SpectralError("tau0 must be positive")
         if kind == "log-law" and not a_cov > 0:
             raise SpectralError("log-law covariance needs a_cov > 0")
-        if kind == "user-function" and func is None:
-            raise SpectralError("user-function covariance needs func")
         self._fill(locals())
 
     def evaluate(self, tau) -> np.ndarray:
@@ -109,9 +101,7 @@ class CovarianceModel(Record):
             log_far = (2.0 * (np.log(t) - math.log(self.tau0))
                        + np.log1p(self.a_cov * (self.tau0 / t) ** 2))
             return np.where(far, log_far, near)
-        if self.kind == "exponential":
-            return np.exp(-np.abs(tau) / self.tau0)
-        return np.asarray(self.func(tau), dtype=float)
+        return np.exp(-np.abs(tau) / self.tau0)
 
 
 class WkIdentityResult(Record):

@@ -297,11 +297,11 @@ def parse_quantity(text: str) -> Quantity:
 
 class ConstantsTable(Record):
     """Physical constants, CODATA 2018, Gaussian-CGS: the elementary charge e
-    (esu), electron mass m0 (g), hbar (erg*s), c (cm/s) and eV (erg)."""
+    (esu), electron mass m0 (g), hbar (erg*s) and c (cm/s)."""
 
-    __slots__ = ("e", "m0", "hbar", "c", "eV")
+    __slots__ = ("e", "m0", "hbar", "c")
 
-    def __init__(self, e: Quantity, m0: Quantity, hbar: Quantity, c: Quantity, eV: Quantity):
+    def __init__(self, e: Quantity, m0: Quantity, hbar: Quantity, c: Quantity):
         self._fill(locals())
 
 
@@ -310,5 +310,4 @@ CODATA2018 = ConstantsTable(
     m0=quantity(9.1093837e-28, "g"),
     hbar=quantity(1.05457182e-27, "erg*s"),
     c=quantity(2.99792458e10, "cm/s"),
-    eV=quantity(1.602176634e-12, "erg"),
 )

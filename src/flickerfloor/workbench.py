@@ -92,6 +92,8 @@ def _get_float(section: str, parser, key: str, positive: bool = False) -> Option
         v = float(raw)
     except ValueError as err:
         raise ConfigError(f"[{section}] {key} = {raw!r}: not a number") from err
+    if not math.isfinite(v):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
     if positive and not v > 0:
         raise ConfigError(f"[{section}] {key} = {raw!r}: must be positive")
     return v
@@ -244,7 +246,7 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
             g_tr = geometry.geometric_factor_transverse(
                 entry.geom, entry.probes_transverse).value.to("cm^-1")
         longitudinal = mode == "longitudinal"
-        g = geometry.GeometricFactor(quantity(g_long if longitudinal else g_tr, "cm^-1"), mode)
+        g = geometry.GeometricFactor(quantity(g_long if longitudinal else g_tr, "cm^-1"))
         model = entry.model(mode, g=g)
         kappa_exp = entry.kappa_exp if longitudinal else entry.kappa_exp_transverse
         annotations = ([entry.annotation] if entry.annotation else []) + list(model.caveats)

@@ -20,7 +20,7 @@ from flickerfloor.geometry import (
     longitudinal_probes,
     transverse_probes,
 )
-from flickerfloor.noise_floor import Material, kappa, phonon_delta, validity_bound
+from flickerfloor.noise_floor import Material, build_model, kappa, phonon_delta
 from flickerfloor.spectral import (
     CovarianceModel,
     SignalRecord,
@@ -68,8 +68,7 @@ def test_criterion_1_table_kappa_with_supplied_g(material, kappa_column_failures
     g_ref = {name: row[1] for name, row in TABLE_ROWS.items()}
     kappa_ref = {name: row[3] for name, row in TABLE_ROWS.items()}
     computed = {
-        name: kappa(GeometricFactor(value=quantity(g, "cm^-1"),
-                                    configuration="longitudinal"), material)
+        name: kappa(GeometricFactor(value=quantity(g, "cm^-1")), material)
         for name, g in g_ref.items()
     }
     entries, _ = load_catalog(bundled_config_text("ingaas"))
@@ -193,16 +192,17 @@ def test_criterion_7_estimator_properties():
     amp, f0, dt, n = 1.5, 1.0, 0.01, 4096
     t = np.arange(n) * dt
     rec = SignalRecord(samples=amp * np.sin(2.0 * np.pi * f0 * t), dt=dt)
-    assert 2.0 * np.pi * f0 * rec.t_m >= 100
+    t_m = dt * (n - 1)
+    assert 2.0 * np.pi * f0 * t_m >= 100
     peak = power_spectrum_estimate([rec], np.array([f0])).value[0]
-    target = amp ** 2 * rec.t_m / 4.0
+    target = amp ** 2 * t_m / 4.0
     if abs(peak - target) > 0.02 * target:
         failures.append(f"sinusoid peak {peak:.4g} vs {target:.4g}")
     # synthesized power-law ensembles recover their slopes
     for gamma in (0.8, 1.0, 1.2):
         recs = [synthesize_power_law_noise(gamma, 2048, 1.0, seed=s)
                 for s in range(100)]
-        t_m = recs[0].t_m
+        t_m = recs[0].dt * (recs[0].n - 1)
         f = np.logspace(np.log10(20.0 / t_m), np.log10(0.2), 25)
         series = power_spectrum_estimate(recs, f)
         slope = np.polyfit(np.log(f), np.log(series.value), 1)[0]
@@ -218,8 +218,9 @@ def test_criterion_7_estimator_properties():
 def test_criterion_8_validity_bound(material):
     failures = []
     geom = SampleGeometry(l=1e-4, w=1e-4, a=1e-4)  # volume 1e-12 cm^3
-    bound = validity_bound(material, geom)
-    fmax = bound.fmax.to("Hz")
+    model = build_model(geom, longitudinal_probes(geom), material,
+                        g=GeometricFactor(quantity(1.0, "cm^-1")))
+    fmax = model.fmax.to("Hz")
     if abs(fmax - 2.4e4) > 0.02 * 2.4e4:
         failures.append(f"fmax {fmax:.4g} vs 2.4e4")
     # excess factor must be exactly (hbar * omega * D * Omega)^2
@@ -227,7 +228,7 @@ def test_criterion_8_validity_bound(material):
                     * material.dos.to("1/(erg*cm^3)") * geom.volume)
     for f in (fmax, 3.7 * fmax, 100.0 * fmax):
         expected = (hbar_d_omega * 2.0 * math.pi * f) ** 2
-        got = bound.excess_factor(f)
+        got = model.excess_factor(f)
         if abs(got - expected) > 1e-12 * expected:
             failures.append(f"excess factor at f={f:.3g}")
     report(8, "fmax = 2.4e4 Hz within 2% for D = 1e22/(eV cm^3), "

@@ -465,7 +465,6 @@ def test_table_g_within_20_percent():
         geom = SampleGeometry(l=l, w=w, a=a)
         gf = geometric_factor(geom, longitudinal_probes(geom))
         assert gf.value.to("cm^-1") == pytest.approx(g_ref, rel=0.20), name
-        assert gf.configuration == "longitudinal"
 
 
 def test_v1_longitudinal_within_15_percent():
@@ -479,7 +478,6 @@ def test_v1_transverse_within_20_percent():
     (l, w, a), _, g_tr_ref = TABLE_G["V1"]
     geom = SampleGeometry(l=l, w=w, a=a)
     gf = geometric_factor_transverse(geom, transverse_probes(geom))
-    assert gf.configuration == "transverse"
     assert gf.value.to("cm^-1") == pytest.approx(g_tr_ref, rel=0.20)
 
 

@@ -21,7 +21,6 @@ from flickerfloor.noise_floor import (
     evaluate_spectrum,
     kappa,
     phonon_delta,
-    validity_bound,
 )
 from flickerfloor.units import CODATA2018, parse_quantity, quantity
 
@@ -43,8 +42,14 @@ def make_material(**overrides):
     return Material(**fields)
 
 
-def gfactor(value, configuration="longitudinal"):
-    return GeometricFactor(value=quantity(value, "cm^-1"), configuration=configuration)
+def gfactor(value):
+    return GeometricFactor(value=quantity(value, "cm^-1"))
+
+
+def model_on(material, geom):
+    """The model of geom's default longitudinal pair, from a given g: its
+    fmax and excess factor depend on the material and the volume only."""
+    return build_model(geom, longitudinal_probes(geom), material, g=gfactor(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,7 @@ def test_kappa_two_species_reference_row():
 
 
 def test_kappa_transverse_reference_row():
-    k = kappa(gfactor(1990.0, "transverse"), make_material())
+    k = kappa(gfactor(1990.0), make_material())
     assert k == pytest.approx(7.2e-11, rel=0.01)
 
 
@@ -140,29 +145,29 @@ def test_corner_frequency():
 def test_validity_bound_reference_value():
     # hbar*D*Omega = 6.58e-6 s -> fmax = 1/(2*pi*6.58e-6) ~ 2.4e4 Hz
     geom = SampleGeometry(l=1e-4, w=1e-4, a=1e-4)  # 1e-12 cm^3
-    bound = validity_bound(make_material(), geom)
-    assert bound.fmax.to("Hz") == pytest.approx(2.4e4, rel=0.02)
+    model = model_on(make_material(), geom)
+    assert model.fmax.to("Hz") == pytest.approx(2.4e4, rel=0.02)
 
 
 def test_validity_bound_scales_inversely_with_volume():
     mat = make_material()
-    b1 = validity_bound(mat, SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
-    b2 = validity_bound(mat, SampleGeometry(l=1e-3, w=1e-4, a=1e-4))
+    b1 = model_on(mat, SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
+    b2 = model_on(mat, SampleGeometry(l=1e-3, w=1e-4, a=1e-4))
     assert b1.fmax.to("Hz") == pytest.approx(10.0 * b2.fmax.to("Hz"), rel=1e-12)
 
 
 def test_excess_factor_values():
     geom = SampleGeometry(l=1e-4, w=1e-4, a=1e-4)
-    bound = validity_bound(make_material(), geom)
-    fmax = bound.fmax.to("Hz")
-    assert bound.excess_factor(fmax) == pytest.approx(1.0, rel=1e-12)
-    assert bound.excess_factor(10.0 * fmax) == pytest.approx(100.0, rel=1e-12)
+    model = model_on(make_material(), geom)
+    fmax = model.fmax.to("Hz")
+    assert model.excess_factor(fmax) == pytest.approx(1.0, rel=1e-12)
+    assert model.excess_factor(10.0 * fmax) == pytest.approx(100.0, rel=1e-12)
 
 
 def test_excess_factor_overflow_names_the_frequency():
-    bound = validity_bound(make_material(), SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
+    model = model_on(make_material(), SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
     with pytest.raises(NoiseFloorError, match=r"f = 1e\+308 Hz"):
-        bound.excess_factor(1e308)
+        model.excess_factor(1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,8 @@ def test_build_model_delta_override():
                         delta_override=0.06)
     assert model.gamma == pytest.approx(1.06)
     assert model.kappa == pytest.approx(base.kappa * 5e12 ** 0.06, rel=1e-10)
+    with pytest.raises(NoiseFloorError, match="got nan"):
+        build_model(geom, longitudinal_probes(geom), make_material(), delta_override=np.nan)
 
 
 def test_build_model_with_given_g():
@@ -279,5 +286,6 @@ def test_evaluate_spectrum_flags_beyond_validity():
 
 
 def test_carrier_species_validation():
-    with pytest.raises(NoiseFloorError):
-        CarrierSpecies("bad", -1.0)
+    for mass in (-1.0, np.inf, np.nan):
+        with pytest.raises(NoiseFloorError):
+            CarrierSpecies("bad", mass)

@@ -28,15 +28,13 @@ RECORDS = [
     (units.Dimension, "mass_halves", lambda: units.Dimension(3, 1, -2)),
     (units.Quantity, "value", lambda: units.quantity(2.0, "cm")),
     (units.ConstantsTable, "e", lambda: units.ConstantsTable(
-        units.CODATA2018.e, units.CODATA2018.m0, units.CODATA2018.hbar, units.CODATA2018.c,
-        units.CODATA2018.eV)),
+        units.CODATA2018.e, units.CODATA2018.m0, units.CODATA2018.hbar, units.CODATA2018.c)),
     (geometry.SampleGeometry, "l", lambda: geometry.SampleGeometry(2e-4, 1e-4, 1e-6)),
     (geometry.ProbePair, "x1", lambda: geometry.ProbePair((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
     (geometry.GeometricFactor, "value",
-     lambda: geometry.GeometricFactor(units.quantity(1.0, "cm^-1"), "longitudinal")),
+     lambda: geometry.GeometricFactor(units.quantity(1.0, "cm^-1"))),
     (noise_floor.CarrierSpecies, "mass_m0", lambda: noise_floor.CarrierSpecies("e", 0.041)),
     (noise_floor.Material, "rho0", lambda: next(iter(_catalog()[1].values()))),
-    (noise_floor.ValidityBound, "fmax", lambda: _model().bound),
     (noise_floor.NoiseFloorModel, "kappa", _model),
     (noise_floor.SpectrumSeries, "f",
      lambda: noise_floor.evaluate_spectrum(_model(), units.quantity(1.0, "V"), [1.0, 2e7])),
@@ -68,7 +66,7 @@ def test_every_record_type_is_listed():
                if isinstance(obj, type) and issubclass(obj, units.Record)
                and obj is not units.Record}
     assert {kind for kind, _, _ in RECORDS} == records
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
 
 
 def test_numpy_scalars_take_quantity_arithmetic():

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from flickerfloor.spectral import (
 )
 
 
+def user_covariance(func, tau0=1.0):
+    """A covariance S(tau) = func(tau) for sigma_spectrum, which reads only
+    tau0 (its head refinement scale) and evaluate."""
+    return SimpleNamespace(tau0=tau0, evaluate=func)
+
+
 def sinusoid_record(amplitude=1.0, f0=1.0, n=4096, dt=0.01):
     t = np.arange(n) * dt
     return SignalRecord(samples=amplitude * np.sin(2.0 * np.pi * f0 * t), dt=dt)
@@ -33,7 +40,7 @@ def sinusoid_record(amplitude=1.0, f0=1.0, n=4096, dt=0.01):
 # ---------------------------------------------------------------------------
 
 def single_record_power(rec, f):
-    return power_spectrum_estimate([rec], np.array([f])).value[0] * rec.t_m
+    return power_spectrum_estimate([rec], np.array([f])).value[0] * rec.dt * (rec.n - 1)
 
 
 def test_fourier_of_zero_signal():
@@ -45,9 +52,10 @@ def test_fourier_of_sinusoid():
     rec = sinusoid_record(amplitude=2.0, f0=1.0)
     power = single_record_power(rec, 1.0)
     omega = 2.0 * np.pi * 1.0
-    assert omega * rec.t_m > 100
+    t_m = rec.dt * (rec.n - 1)
+    assert omega * t_m > 100
     # Us = A t_m / 2 to relative 2/(omega t_m) and |Uc| < A/omega
-    us, rel = 2.0 * rec.t_m / 2.0, 2.0 / (omega * rec.t_m)
+    us, rel = 2.0 * t_m / 2.0, 2.0 / (omega * t_m)
     assert (us * (1.0 - rel)) ** 2 <= power <= (us * (1.0 + rel)) ** 2 + (2.0 / omega) ** 2
 
 
@@ -56,7 +64,7 @@ def test_fourier_of_constant_signal():
     rec = SignalRecord(samples=np.full(n, c), dt=dt)
     f = 0.8
     omega = 2.0 * np.pi * f
-    t_m = rec.t_m
+    t_m = dt * (n - 1)
     # Us = c (1 - cos w t_m) / w and Uc = c sin(w t_m) / w
     assert single_record_power(rec, f) == pytest.approx(
         2.0 * c ** 2 * (1.0 - math.cos(omega * t_m)) / omega ** 2, rel=1e-5)
@@ -75,7 +83,7 @@ def test_estimate_of_zero_ensemble():
 def test_estimate_sinusoid_peak():
     rec = sinusoid_record(amplitude=1.5, f0=1.0)
     series = power_spectrum_estimate([rec], np.array([1.0]))
-    assert series.value[0] == pytest.approx(1.5 ** 2 * rec.t_m / 4.0, rel=0.02)
+    assert series.value[0] == pytest.approx(1.5 ** 2 * rec.dt * (rec.n - 1) / 4.0, rel=0.02)
 
 
 def test_estimate_white_noise_level():
@@ -193,7 +201,7 @@ def test_sigma_constant_covariance_vanishes():
     # both finite integrals reduce to boundary terms that cancel up to
     # 2c(1 - cos(omega t_m))/(omega^2 t_m), which vanishes as t_m grows
     c = 4.0
-    cov = CovarianceModel(kind="user-function", func=lambda tau: np.full_like(tau, c))
+    cov = user_covariance(lambda tau: np.full_like(tau, c))
     f = 0.1
     omega = 2.0 * math.pi * f
     for t_m in (1e3, 1e4, 1e5):
@@ -223,8 +231,7 @@ def test_sigma_preconditions():
 
 def test_sigma_with_underflowing_inner_scale_terminates():
     # tau0 * 1e-4 rounds to 0.0, which once made the edge refinement loop forever
-    cov = CovarianceModel(kind="user-function", tau0=1e-321,
-                          func=lambda tau: np.exp(-np.abs(tau)))
+    cov = user_covariance(lambda tau: np.exp(-np.abs(tau)), tau0=1e-321)
     ref = CovarianceModel(kind="exponential", tau0=1.0)
     assert sigma_spectrum(cov, f=0.1, t_m=1e3) == pytest.approx(
         sigma_spectrum(ref, f=0.1, t_m=1e3), rel=1e-12)
@@ -235,8 +242,9 @@ def test_covariance_model_validation():
         CovarianceModel(kind="log-law", tau0=-1.0)
     with pytest.raises(SpectralError):
         CovarianceModel(kind="log-law", tau0=1.0, a_cov=0.0)
-    with pytest.raises(SpectralError):
-        CovarianceModel(kind="nonsense", tau0=1.0)
+    for kind in ("nonsense", "user-function"):
+        with pytest.raises(SpectralError):
+            CovarianceModel(kind=kind, tau0=1.0)
 
 
 def bumped_exponential(tau):
@@ -248,18 +256,8 @@ def bumped_exponential(tau):
 
 def test_sigma_resolves_structure_past_the_gauss_periods():
     # reference: one Gauss panel per period over all 1e4 periods
-    cov = CovarianceModel(kind="user-function", func=bumped_exponential)
+    cov = user_covariance(bumped_exponential)
     assert sigma_spectrum(cov, f=1.0, t_m=1e4) == pytest.approx(0.04941504379804959, rel=1e-10)
-
-
-def test_user_function_covariance():
-    tau0 = 1.0
-    cov = CovarianceModel(kind="user-function", tau0=tau0,
-                          func=lambda tau: np.exp(-np.abs(tau) / tau0))
-    ref = CovarianceModel(kind="exponential", tau0=tau0)
-    f = 0.05
-    assert sigma_spectrum(cov, f=f, t_m=5e3) == pytest.approx(
-        sigma_spectrum(ref, f=f, t_m=5e3), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +388,8 @@ def not_finite_user_function(tau):
 
 
 @pytest.mark.parametrize("kernel, args, names", [
-    (sigma_spectrum, (CovarianceModel(kind="user-function", func=not_finite_user_function),
-                      1.0, 200.0), ["f=1 Hz", "t_m=200 s"]),
+    (sigma_spectrum, (user_covariance(not_finite_user_function), 1.0, 200.0),
+     ["f=1 Hz", "t_m=200 s"]),
     (sigma_spectrum, (CovarianceModel(kind="log-law"), 0.01, 1e200),
      ["f=0.01 Hz", "t_m=1e+200 s"]),
     (wk_identity_check, (1.0, 1e307), ["omega=1 rad/s", "t_m=1e+307 s"]),
@@ -557,7 +555,7 @@ def unresolved_covariance(tau):
 
 def test_work_budget_stops_an_unresolved_covariance(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_PANELS", 10_000)
-    cov = CovarianceModel(kind="user-function", func=unresolved_covariance)
+    cov = user_covariance(unresolved_covariance)
     with pytest.raises(SpectralError, match="work budget") as err:
         sigma_spectrum(cov, 1.0, 1e5)
     for name in ("omega=6.28319 rad/s", "t_m=100000 s", "10,000"):
@@ -572,7 +570,7 @@ def test_work_budget_admits_an_unresolved_covariance_below_it():
     # panel over the rows S(tau), S(-tau) (max|g| = 1) and tau S(+-tau)/T
     # (max 1e4/(e T)), summed over the panels; the value cancels from terms
     # near 0.78, so the rounding is absolute, not relative to it
-    cov = CovarianceModel(kind="user-function", func=unresolved_covariance)
+    cov = user_covariance(unresolved_covariance)
     bound = 1.3e5 * np.finfo(float).eps * (2.0 + 2.0 * 1e4 / (math.e * 1e5))
     assert sigma_spectrum(cov, 1.0, 1e5) == pytest.approx(6.767006825143266e-05,
                                                           rel=0, abs=bound)
@@ -624,7 +622,7 @@ def test_synthesis_rejects_non_finite_inputs_by_name(dt):
 
 def fitted_slope(gamma, n_seeds=100, n=2048, dt=1.0):
     recs = [synthesize_power_law_noise(gamma, n, dt, seed=s) for s in range(n_seeds)]
-    t_m = recs[0].t_m
+    t_m = dt * (n - 1)
     f = np.logspace(np.log10(20.0 / t_m), np.log10(0.2 / dt), 25)
     series = power_spectrum_estimate(recs, f)
     coeffs = np.polyfit(np.log(f), np.log(series.value), 1)

@@ -133,7 +133,7 @@ def test_constants_table_values():
     assert k.m0.to("g") == 9.1093837e-28
     assert k.hbar.to("erg*s") == 1.05457182e-27
     assert k.c.to("cm/s") == 2.99792458e10
-    assert k.eV.to("erg") == 1.602176634e-12
+    assert quantity(1.0, "eV").to("erg") == 1.602176634e-12
 
 
 def test_parse_quantity_and_errors():

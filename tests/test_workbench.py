@@ -447,6 +447,32 @@ def test_cli_verify_wk(capsys):
         assert line.endswith("," + row["status"])
 
 
+@pytest.mark.parametrize("edits, name", [
+    ({"delta = 0.06": "delta = nan"}, "[sample:bulk-B] delta = 'nan': must be finite"),
+    ({"delta = 0.06": "delta = inf", "kappa_exp = 3e-14": "kappa_exp = inf"},
+     "[sample:bulk-B] kappa_exp = 'inf': must be finite"),
+    ({"carriers = p:3.0": "carriers = p:inf"}, "[material:ybco] carriers entry 'p:inf'"),
+    ({"carriers = p:3.0": "carriers = p:1e308", "width = 0.2 cm": "width = 100 cm",
+      "length = 0.2 cm": "length = 100 cm", "thickness = 0.01 cm": "thickness = 100 cm"},
+     "material 'ybco': kappa = 0 is not finite"),
+    ({"delta = 0.06": "delta = 100"}, "material 'ybco': kappa = inf is not finite"),
+], ids=["nan-delta", "inf-delta-and-kappa_exp", "inf-mass", "kappa-underflow", "kappa-overflow"])
+def test_cli_report_refuses_non_finite_catalog_numbers(edits, name, capsys, tmp_path):
+    # these once printed gamma nan, or kappa_th inf and a nan ratio, with exit
+    # 0, or ended in a ZeroDivisionError or OverflowError traceback
+    text = bundled_config_text("ybco")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "ybco.cfg"
+    cfg.write_text(text)
+    assert cli.main(["report", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_delta_without_materials_exits_1(capsys, tmp_path):
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
@@ -491,6 +517,7 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--u0", "1e200 V"], "U0 = 1e+200 V"),
     (["spectrum", "--sample", "V1", "--points", "1000001"], "--points 1000001"),
     (["estimate", "--n", str(2 ** 27), "--records", "32"], "--n 134217728 --records 32"),
+    (["estimate", "--n", "1000"], "--n 1000: must be a power of two"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
@@ -500,7 +527,8 @@ def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # overflowing unit powers and the overflowing floor ended in an
     # OverflowError traceback; --points had no ceiling, and at 2e9 points its
     # grid alone would take 16 GB, nor had estimate's records, which at
-    # --n 2^27 --records 32 would take 32 GiB
+    # --n 2^27 --records 32 would take 32 GiB; an --n that is not a power of
+    # two was refused by the synthesizer, after numpy loaded, by no flag
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -575,6 +603,7 @@ SCALAR_QUESTIONS = [
     (["estimate", "--records", "0"], 1),
     (["spectrum", "--sample", "V1", "--points", "1000001"], 1),
     (["estimate", "--n", str(2 ** 27), "--records", "32"], 1),
+    (["estimate", "--n", "1000"], 1),
     (["estimate", "--gamma", "3"], 1),
     (["estimate", "--gamma", "nan"], 1),
     (["estimate", "--dt", "0"], 1),
