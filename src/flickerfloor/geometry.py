@@ -169,7 +169,12 @@ def _corner_boxes(dims: Point, x: Point):
 # adaptive quadrature
 # ---------------------------------------------------------------------------
 
-_GAUSS_ORDER = 8
+# the 8-point Gauss-Legendre rule on [-1, 1]: (node, weight) of its positive
+# nodes, frozen as numpy 2.4.6 computes them
+_GAUSS_8 = ((0.18343464249564978, 0.36268378337836166),
+            (0.525532409916329, 0.3137066458778869),
+            (0.7966664774136267, 0.22238103445337443),
+            (0.9602898564975362, 0.10122853629037706))
 _ETA = 2.5          # admissibility: column used when dist >= eta * its (x, y) half-diagonal
 _SIZE_FLOOR = 3e-4  # singular columns' (x, y) half-diagonal, relative to the sample box's diagonal
 _GAUSS_BATCH = 128  # admissible columns per Gauss call: 128 * 8^2 doubles per array
@@ -193,13 +198,21 @@ def _gauss_columns(cells: list, z_lo: float, z_hi: float) -> float:
     return float((halves[:, 0] * halves[:, 1]) @ (col.reshape(len(box), -1) @ weights))
 
 
+def gauss_legendre(half) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights of the even-order Gauss-Legendre rule on
+    [-1, 1] whose positive nodes, ascending, have the (node, weight) pairs half.
+    The rule is mirrored, not computed, so no numpy subpackage is loaded."""
+    import numpy as np
+
+    nodes, weights = np.array(half).T
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
+
+
 @functools.cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _GAUSS_ORDER-point Gauss-Legendre nodes on [-1, 1] and the weight
-    products w_i w_j, flattened; built on first use, so importing imports no numpy."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, w = leggauss(_GAUSS_ORDER)
+    """The 8-point Gauss-Legendre nodes on [-1, 1] and the weight products
+    w_i w_j, flattened; built on first use, so importing imports no numpy."""
+    nodes, w = gauss_legendre(_GAUSS_8)
     return nodes, (w[:, None] * w).ravel()
 
 

@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import gauss_legendre
 from .noise_floor import SpectrumSeries
 from .units import InputError, Record
 
@@ -229,7 +230,21 @@ def power_spectrum_estimate(ensemble: Sequence[SignalRecord], f_grid) -> Spectru
 # oscillatory panel quadrature
 # ---------------------------------------------------------------------------
 
-_NODES_PER_PANEL = 24  # Gauss-Legendre nodes per period panel
+# the 24-point Gauss-Legendre rule of each period panel: (node, weight) of its
+# positive nodes, frozen as numpy 2.4.6 computes them
+_GAUSS_24 = ((0.06405689286260563, 0.12793819534675202),
+             (0.1911188674736163, 0.12583745634682825),
+             (0.3150426796961634, 0.1216704729278033),
+             (0.4337935076260451, 0.11550566805372552),
+             (0.5454214713888396, 0.10744427011596556),
+             (0.6480936519369755, 0.09761865210411393),
+             (0.7401241915785544, 0.0861901615319532),
+             (0.820001985973903, 0.07334648141108016),
+             (0.8864155270044011, 0.05929858491543636),
+             (0.9382745520027328, 0.04427743881741941),
+             (0.9747285559713095, 0.02853138862893356),
+             (0.9951872199970213, 0.01234122979998869))
+_NODES_PER_PANEL = 2 * len(_GAUSS_24)
 # the first _GAUSS_PERIODS periods get one Gauss panel each.  Each adds about
 # eps * max|g| * P of rounding, as its weighted phases do not sum to exactly 0:
 # 8 periods leave about 1e-13 of Sigma(f) at f t_m = 1e12, where 32 left 6e-13
@@ -260,9 +275,8 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     cos(pi j/m), the map from their values to the coefficients of the
     interpolant sum a_n T_n, and the derivative maps T_n^(r)(1) and
     T_n^(r)(-1) as arrays [r, n], r, n = 0..m.  Built on first use, so that
-    importing the module runs no linear algebra and loads no numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-
+    importing the module runs no linear algebra; the Gauss rule is mirrored
+    from _GAUSS_24."""
     m = _CHEB_DEGREE
     j = np.arange(m + 1)
     to_coeffs = (2.0 / m) * np.cos(np.pi * np.outer(j, j) / m)
@@ -272,7 +286,7 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     steps = (j[None, :] ** 2 - j[:m, None] ** 2) / (2.0 * j[:m, None] + 1.0)
     at_one = np.vstack([np.ones(m + 1), np.cumprod(steps, axis=0)])
     at_minus_one = at_one * (-1.0) ** (j[:, None] + j[None, :])
-    return (*leggauss(_NODES_PER_PANEL), np.cos(np.pi * j / m), to_coeffs, at_one, at_minus_one)
+    return (*gauss_legendre(_GAUSS_24), np.cos(np.pi * j / m), to_coeffs, at_one, at_minus_one)
 
 
 # Maclaurin coefficients of Si(x)/x in powers of x^2: (-1)^k / ((2k+1) (2k+1)!)
@@ -358,7 +372,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     # (k, lo, hi) of the head below the first period, of periods 1 to
     # _GAUSS_PERIODS - 1 and of [nP, t_m], evaluated in one batch
     first = min(period, t_m)
-    edges = np.unique([e for e in head if e < first] + [first])
+    edges = sorted({e for e in head if e < first} | {first})  # numpy's unique would load numpy.ma
     panels = [(0.0, a, b) for a, b in zip(edges[:-1], edges[1:])]
     panels += [(k, 0.0, period) for k in range(1, min(n, _GAUSS_PERIODS))]
     p, e = _two_product(float(n), period)  # nP lies in [t_m/2, t_m] for n >= 1

@@ -96,7 +96,7 @@ class Dimension(Record):
                          self.time_halves - other.time_halves)
 
     def __pow__(self, n: float) -> "Dimension":
-        # n may be an int, a float or a fractions.Fraction
+        # n is an int, or a float parsed from a unit token
         halves = (self.length_halves * n, self.mass_halves * n, self.time_halves * n)
         if type(n) is not int and any(h % 1 for h in halves):  # nan % 1 is nan: true
             raise DimensionError(f"[{self}]^{n} has an exponent that is not a multiple of 1/2")

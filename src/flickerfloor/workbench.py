@@ -46,10 +46,14 @@ class CatalogEntry(Record):
 
     def model(self, mode: str, single_species: bool = False,
               g: Optional[geometry.GeometricFactor] = None) -> noise_floor.NoiseFloorModel:
-        """The sample's noise-floor model in mode; g, when given, is used as is."""
-        return noise_floor.build_model(self.geom, self.probes(mode), self.material,
-                                       configuration=mode, single_species=single_species,
-                                       delta_override=self.delta_override, g=g)
+        """The sample's noise-floor model in mode; g, when given, is used as is.
+        A model the sample's data refuse is a ConfigError naming the sample."""
+        try:
+            return noise_floor.build_model(self.geom, self.probes(mode), self.material,
+                                           configuration=mode, single_species=single_species,
+                                           delta_override=self.delta_override, g=g)
+        except noise_floor.NoiseFloorError as err:
+            raise ConfigError(f"{err} in [sample:{self.sample_id}]") from err
 
 
 class Report(Record):

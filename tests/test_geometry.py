@@ -321,6 +321,28 @@ def test_quadrature_g_within_1e_14_of_references():
     assert max(errors.values()) <= 1e-14, errors
 
 
+# the numpy release whose leggauss the frozen Gauss halves were read from;
+# another may round a node or weight differently
+FROZEN_RULES_NUMPY = "2.4.6"
+
+
+@pytest.mark.parametrize("order", [8, 24])
+def test_frozen_gauss_rules_are_leggauss(order):
+    from numpy.polynomial.legendre import leggauss
+
+    from flickerfloor import spectral
+
+    half = {8: geometry._GAUSS_8, 24: spectral._GAUSS_24}[order]
+    nodes, weights = geometry.gauss_legendre(half)
+    ref_nodes, ref_weights = leggauss(order)
+    maxulp = 0 if np.__version__ == FROZEN_RULES_NUMPY else 2
+    np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp)
+    np.testing.assert_array_max_ulp(weights, ref_weights, maxulp)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+    assert np.array_equal(weights, weights[::-1])
+    assert math.fsum(weights) == pytest.approx(2.0, rel=4e-16)
+
+
 def test_closed_form_g_error_against_references_is_recorded():
     # the worst pair stays within its recorded error; every other pair is
     # below 4.1e-12 (V80 longitudinal reads 4.0e-12)

@@ -323,6 +323,20 @@ def test_cli_spectrum_overflowing_excess_factor_is_input_error(capsys):
     assert "Warning" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["report"], ["kappa", "--sample", "bulk-B"],
+                                  ["spectrum", "--sample", "bulk-B"]])
+def test_cli_refused_catalog_model_names_its_sample(argv, capsys, tmp_path):
+    # kappa carries (f*)^delta, which overflows at delta = 100; the error
+    # named only the material, which the film shares
+    cfg = tmp_path / "ybco.cfg"
+    cfg.write_text(bundled_config_text("ybco").replace("delta = 0.06", "delta = 100"))
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bulk-B" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 def estimate_rows(argv, capsys):
     assert cli.main(["estimate", *argv]) == 0
     captured = capsys.readouterr()
@@ -645,11 +659,14 @@ def test_scalar_questions_import_no_numpy():
 
 def test_array_questions_import_no_fractions():
     # the spectral kernels reduced their phases with Fraction arithmetic; the
-    # estimator needs no Gauss rule, so estimate loads no numpy.polynomial
-    # unless importing numpy does (numpy 1.x)
-    eager = run_python("import sys, numpy; print('numpy.polynomial' in sys.modules)")
-    polynomial = ["numpy.polynomial"]
-    answers = ask_in_process([["estimate", "--n", "256", "--records", "2"], ["verify-wk"]])
-    assert answers == [[0, True, ["numpy", "flickerfloor.spectral"]
-                        + polynomial * (eager == "True\n")],
-                       [0, True, ["numpy", "flickerfloor.spectral", *polynomial]]]
+    # Gauss rules are frozen tables and the head edges a sorted set, so no
+    # question loads numpy.polynomial (6 ms) or numpy.ma (15 ms), unless
+    # importing numpy itself does (numpy 1.x)
+    eager = json.loads(run_python(
+        "import json, sys, numpy; "
+        "print(json.dumps([m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules]))"))
+    answers = ask_in_process([["factor", "--sample", "V2", "--method", "quadrature"],
+                              ["verify-wk"], ["estimate", "--n", "256", "--records", "2"]])
+    assert answers == [[0, True, ["numpy", *eager]],
+                       [0, True, ["numpy", "flickerfloor.spectral", *eager]],
+                       [0, True, ["numpy", "flickerfloor.spectral", *eager]]]
