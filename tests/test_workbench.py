@@ -630,7 +630,7 @@ SCALAR_QUESTIONS = [
 
 def ask_in_process(argvs):
     """[exit code, whether stdout got text, which of numpy, spectral,
-    numpy.polynomial, fractions, decimal and dataclasses are loaded] after
+    numpy.polynomial, numpy.ma, fractions, decimal and dataclasses are loaded] after
     each argv, asked in turn in one fresh interpreter."""
     code = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -641,7 +641,7 @@ def ask_in_process(argvs):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = flickerfloor.cli.main(argv)
             loaded = [m for m in ("numpy", "flickerfloor.spectral", "numpy.polynomial",
-                                  "fractions", "decimal", "dataclasses")
+                                  "numpy.ma", "fractions", "decimal", "dataclasses")
                       if m in sys.modules]
             answers.append([code, bool(out.getvalue()), loaded])
         print(json.dumps(answers))
