@@ -14,8 +14,8 @@ import itertools
 import math
 import sys
 
-from . import geometry, noise_floor, workbench
-from .units import DimensionError, InputError, UnitsError, parse_quantity, quantity
+from . import noise_floor, workbench
+from .units import DimensionError, InputError, UnitsError, parse_quantity
 from .workbench import ConfigError
 
 
@@ -99,12 +99,13 @@ def _load_catalog(args):
     return workbench.load_catalog(text)
 
 
-def _find_sample(entries, sample_id: str) -> workbench.CatalogEntry:
+def _entry(args) -> workbench.CatalogEntry:
+    entries, _ = _load_catalog(args)
     for entry in entries:
-        if entry.sample_id == sample_id:
+        if entry.sample_id == args.sample:
             return entry
     known = ", ".join(e.sample_id for e in entries)
-    raise ConfigError(f"unknown sample '{sample_id}' (catalog has: {known})")
+    raise ConfigError(f"unknown sample '{args.sample}' (catalog has: {known})")
 
 
 def _write_table(table, output) -> None:
@@ -132,26 +133,16 @@ def _write_table(table, output) -> None:
 
 
 def cmd_factor(args) -> int:
-    entries, _ = _load_catalog(args)
-    entry = _find_sample(entries, args.sample)
-    factor = (geometry.geometric_factor if args.mode == "longitudinal"
-              else geometry.geometric_factor_transverse)
-    gf = factor(entry.geom, entry.probes(args.mode), method=args.method)
+    gf = _entry(args).g(args.mode, method=args.method)
     print(f"g = {gf.value.to('cm^-1'):.6g} cm^-1 ({args.mode}, {args.method})")
     return 0
 
 
 def cmd_kappa(args) -> int:
-    entries, _ = _load_catalog(args)
-    entry = _find_sample(entries, args.sample)
-    g = None
-    if args.g_source == "table":
-        override = (entry.g_override if args.mode == "longitudinal"
-                    else entry.g_tr_override)
-        if override is None:
-            raise ConfigError(f"sample '{args.sample}' has no tabulated g for "
-                              f"mode '{args.mode}'")
-        g = geometry.GeometricFactor(quantity(override, "cm^-1"))
+    entry = _entry(args)
+    g = entry.g(args.mode, args.g_source)
+    if g is None:  # unlike report, kappa does not fall back to the computed g
+        raise ConfigError(f"sample '{args.sample}' has no tabulated g for mode '{args.mode}'")
     model = entry.model(args.mode, args.single_species, g)
     print(f"kappa = {model.kappa:.6g}  gamma = {model.gamma:.6g}  "
           f"fmax = {model.fmax.to('Hz'):.6g} Hz")
@@ -170,16 +161,16 @@ def cmd_delta(args) -> int:
         raise ConfigError("catalog defines no material")
     delta = noise_floor.phonon_delta(mat)
     fstar = noise_floor.corner_frequency(mat).to("Hz")
-    mag = fstar ** delta
+    mag = noise_floor.corner_power(mat, delta)
+    if mag == math.inf:
+        raise ConfigError(f"material '{mat.name}': (f*)^delta overflows at delta = {delta:g}")
     print(f"delta = {delta:.6g}  gamma = {1.0 + delta:.6g}  "
           f"f* = {fstar:.6g} Hz  (f*)^delta = {mag:.6g}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    entries, _ = _load_catalog(args)
-    entry = _find_sample(entries, args.sample)
-    model = entry.model(args.mode)
+    model = _entry(args).model(args.mode)
     try:
         u0 = parse_quantity(args.u0)
         u0.to("V")  # dimension check up front

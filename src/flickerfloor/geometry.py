@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Optional
 
 from .units import InputError, Quantity, Record, quantity
@@ -41,6 +42,15 @@ class SampleGeometry(Record):
         for name, v in (("l", l), ("w", w), ("a", a)):
             if not (math.isfinite(v) and v > 0):
                 raise GeometryError(f"sample dimension {name} must be positive, got {v}")
+        # g is built from the squared sides and the squared diagonal and is
+        # divided by the volume: each must be a normal float, neither
+        # underflowing nor overflowing
+        squares = (l * l, w * w, a * a)
+        if not all(sys.float_info.min <= x <= sys.float_info.max
+                   for x in (*squares, sum(squares), l * w * a)):
+            raise GeometryError(f"sample dimensions {l:g} x {w:g} x {a:g} cm leave the float "
+                                "range: their squares, squared diagonal or volume are not "
+                                "normal floats")
         self._fill(locals())
 
     @property
@@ -67,22 +77,22 @@ def _point(x) -> Optional[Point]:
 
 
 class ProbePair(Record):
-    """Positions of the two voltage probes, in cm, inside the closed cuboid."""
+    """Positions of the two voltage probes, 3-tuples in cm, inside the closed cuboid."""
 
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1: Point, x2: Point):
-        p1, p2 = _point(x1), _point(x2)
-        if p1 is None or p2 is None:
+        x1, x2 = _point(x1), _point(x2)
+        if x1 is None or x2 is None:
             raise GeometryError("probe positions must be finite 3-vectors")
-        if p1 == p2:
+        if x1 == x2:
             raise GeometryError("the two probes must not coincide")
         self._fill(locals())
 
     def validate_on(self, geom: SampleGeometry) -> None:
         for label, x in (("x1", self.x1), ("x2", self.x2)):
-            if not all(0.0 <= c <= d for c, d in zip(_point(x), geom.dims)):
-                raise GeometryError(f"probe {label}={tuple(x)} lies outside the sample cuboid")
+            if not all(0.0 <= c <= d for c, d in zip(x, geom.dims)):
+                raise GeometryError(f"probe {label}={x} lies outside the sample cuboid")
 
 
 class GeometricFactor(Record):
@@ -293,7 +303,7 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
 
 def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> float:
     probes.validate_on(geom)
-    dims, p1, p2 = geom.dims, _point(probes.x1), _point(probes.x2)
+    dims, p1, p2 = geom.dims, probes.x1, probes.x2
     # the integral is even under each of the box's three mirror planes; the
     # distance to the nearer face per axis is exact (d - c is, for c >= d/2)
     fold1, fold2 = (tuple(min(c, d - c) for c, d in zip(p, dims)) for p in (p1, p2))
@@ -302,16 +312,23 @@ def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) ->
     return _box_integral(dims, p1, method) + _box_integral(dims, p2, method)
 
 
+def _factor(g: float) -> GeometricFactor:
+    # far from a cube the corner sum cancels, and 3 * volume or (w/l)^2 /
+    # volume may overflow: a g that is not a positive float is no answer
+    if not 0.0 < g < math.inf:
+        raise GeometryError(f"g = {g:g} cm^-1 is not finite and positive: the sample is "
+                            "too large, or too far from a cube, for the floats")
+    return GeometricFactor(quantity(g, "cm^-1"))
+
+
 def geometric_factor(geom: SampleGeometry, probes: ProbePair,
                      method: str = "closed_form") -> GeometricFactor:
     """Longitudinal geometric factor g, in cm^-1."""
-    g = _probe_integral_sum(geom, probes, method) / (3.0 * geom.volume)
-    return GeometricFactor(quantity(g, "cm^-1"))
+    return _factor(_probe_integral_sum(geom, probes, method) / (3.0 * geom.volume))
 
 
 def geometric_factor_transverse(geom: SampleGeometry, probes: ProbePair,
                                 method: str = "closed_form") -> GeometricFactor:
     """Transverse geometric factor g_tr = (w/l)^2 * g, in cm^-1."""
     scale = (geom.w / geom.l) ** 2 / (3.0 * geom.volume)
-    g_tr = _probe_integral_sum(geom, probes, method) * scale
-    return GeometricFactor(quantity(g_tr, "cm^-1"))
+    return _factor(_probe_integral_sum(geom, probes, method) * scale)

@@ -161,6 +161,14 @@ def corner_frequency(material: Material) -> Quantity:
     return material.u / material.d
 
 
+def corner_power(material: Material, delta: float) -> float:
+    """(f*)^delta, f* in Hz, which kappa carries: inf when it overflows."""
+    try:
+        return corner_frequency(material).to("Hz") ** delta
+    except OverflowError:
+        return math.inf
+
+
 def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
                 configuration: str = "longitudinal", single_species: bool = False,
                 delta_override: Optional[float] = None,
@@ -192,13 +200,7 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
             caveats.append("no piezo data; gamma=1")
         if delta > 0:
             caveats.append("state filling smears the effective delta; empty-band value used")
-    k = kappa(g, material, single_species=single_species)
-    if delta > 0:
-        # f* enters in Hz; the exponent shift makes kappa carry Hz^delta
-        try:
-            k *= corner_frequency(material).to("Hz") ** delta
-        except OverflowError:
-            k = math.inf
+    k = kappa(g, material, single_species=single_species) * corner_power(material, delta)
     if not 0 < k < math.inf:
         raise NoiseFloorError(f"material '{material.name}': kappa = {k:g} is not finite "
                               "and positive")

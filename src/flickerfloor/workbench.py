@@ -44,10 +44,30 @@ class CatalogEntry(Record):
     def probes(self, mode: str) -> ProbePair:
         return self.probes_longitudinal if mode == "longitudinal" else self.probes_transverse
 
+    def g(self, mode: str, g_source: str = "computed",
+          method: str = "closed_form") -> Optional[geometry.GeometricFactor]:
+        """The one pick of the sample's g in mode: the tabulated value for
+        g_source "table" (None when there is none), else g computed by method
+        from the dimensions and the default probes.  Refusals are ConfigErrors."""
+        if mode not in ("longitudinal", "transverse"):
+            raise ConfigError(f"unknown mode '{mode}'")
+        if g_source == "table":
+            value = self.g_override if mode == "longitudinal" else self.g_tr_override
+            return None if value is None else geometry.GeometricFactor(quantity(value, "cm^-1"))
+        if g_source != "computed":
+            raise ConfigError(f"unknown g_source '{g_source}'")
+        factor = (geometry.geometric_factor if mode == "longitudinal"
+                  else geometry.geometric_factor_transverse)
+        try:
+            return factor(self.geom, self.probes(mode), method=method)
+        except geometry.GeometryError as err:
+            raise ConfigError(f"{err} in [sample:{self.sample_id}]") from err
+
     def model(self, mode: str, single_species: bool = False,
               g: Optional[geometry.GeometricFactor] = None) -> noise_floor.NoiseFloorModel:
-        """The sample's noise-floor model in mode; g, when given, is used as is.
-        A model the sample's data refuse is a ConfigError naming the sample."""
+        """The sample's noise-floor model in mode, on g when given, else on the
+        computed g.  A model the sample's data refuse is a ConfigError naming it."""
+        g = self.g(mode) if g is None else g
         try:
             return noise_floor.build_model(self.geom, self.probes(mode), self.material,
                                            configuration=mode, single_species=single_species,
@@ -230,34 +250,21 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
     """Per-row kappa_th from geometry + noise_floor, against measured values.
 
     g_source "computed" derives g from the dimensions with the default probe
-    placement; "table" uses the catalog's g override where present.
+    placement; "table" uses the catalog's tabulated g, else the computed one.
     """
     if not catalog:
         raise ConfigError("catalog is empty")
-    if mode not in ("longitudinal", "transverse"):
-        raise ConfigError(f"unknown mode '{mode}'")
-    if g_source not in ("computed", "table"):
-        raise ConfigError(f"unknown g_source '{g_source}'")
+    longitudinal = mode == "longitudinal"
     rows = []
     for entry in catalog:
-        g_long = g_tr = None
-        if g_source == "table":
-            g_long, g_tr = entry.g_override, entry.g_tr_override
-        if g_long is None:
-            g_long = geometry.geometric_factor(
-                entry.geom, entry.probes_longitudinal).value.to("cm^-1")
-        if g_tr is None:
-            g_tr = geometry.geometric_factor_transverse(
-                entry.geom, entry.probes_transverse).value.to("cm^-1")
-        longitudinal = mode == "longitudinal"
-        g = geometry.GeometricFactor(quantity(g_long if longitudinal else g_tr, "cm^-1"))
-        model = entry.model(mode, g=g)
+        g_long, g_tr = (entry.g(m, g_source) or entry.g(m) for m in ("longitudinal", "transverse"))
+        model = entry.model(mode, g=g_long if longitudinal else g_tr)
         kappa_exp = entry.kappa_exp if longitudinal else entry.kappa_exp_transverse
         annotations = ([entry.annotation] if entry.annotation else []) + list(model.caveats)
         rows.append({
             "sample": entry.sample_id,
-            "g_cm^-1": g_long,
-            "g_tr_cm^-1": g_tr,
+            "g_cm^-1": g_long.value.to("cm^-1"),
+            "g_tr_cm^-1": g_tr.value.to("cm^-1"),
             "kappa_th": model.kappa,
             "kappa_exp": kappa_exp,
             "ratio_exp_th": (kappa_exp / model.kappa) if kappa_exp is not None else None,

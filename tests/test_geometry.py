@@ -8,6 +8,7 @@ closed-form corner primitive or the adaptive quadrature under test.
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,34 @@ def test_sample_geometry_validation():
         SampleGeometry(l=1.0, w=1.0, a=0.0)
     with pytest.raises(GeometryError):
         SampleGeometry(l=-1.0, w=1.0, a=1.0)
+    # a square, the squared diagonal or the volume below the smallest normal
+    # float or past the largest: the first three ended in a math domain error
+    # and a ZeroDivisionError, in g = nan, and in g = 0 with no error
+    for dims in ((1e-170,) * 3, (1e-160, 1e-160, 1e200), (1e150, 1e150, 1e-200),
+                 (1e-155, 1.0, 1.0), (1e155, 1.0, 1.0), (1e154, 1e154, 1e-100),
+                 (2e-103,) * 3, (1e103,) * 3):
+        with pytest.raises(GeometryError, match="leave the float range"):
+            SampleGeometry(*dims)
+    # the limits are the float range's own: just inside them the box stands,
+    # and a cube at the smallest volume or nearly the largest has its g
+    SampleGeometry(2.0 * math.sqrt(sys.float_info.min), 1.0, 1.0)
+    for side in (3e-103, 3e102):
+        cube = SampleGeometry(side, side, side)
+        g = geometric_factor(cube, longitudinal_probes(cube)).value.to("cm^-1")
+        assert g * side == pytest.approx(1.1952068287858463, rel=1e-12)
+
+
+def test_g_that_is_not_a_positive_float_is_refused():
+    # 3 * volume overflows for this cube; the corner sum of a box 1e18 times
+    # thinner than wide cancels to 0; (w/l)^2 / volume overflows here
+    cube, thin = SampleGeometry(4e102, 4e102, 4e102), SampleGeometry(1.0, 1.0, 1e-18)
+    sliver = SampleGeometry(2e-154, 1.0, 1.0)
+    for factor, geom, probes, method in (
+            (geometric_factor, cube, longitudinal_probes, "quadrature"),
+            (geometric_factor, thin, longitudinal_probes, "closed_form"),
+            (geometric_factor_transverse, sliver, transverse_probes, "closed_form")):
+        with pytest.raises(GeometryError, match="is not finite and positive"):
+            factor(geom, probes(geom), method=method)
 
 
 def test_probe_pair_validation():
@@ -233,6 +262,14 @@ def test_probe_pair_takes_lists_tuples_and_arrays():
         ProbePair([0.0, 0.5, 0.25], np.array([0.0, 0.5, 0.25]))
     with pytest.raises(GeometryError, match="outside"):
         ProbePair([0.0, 0.5, 0.25], [2.0, 0.5, 0.6]).validate_on(geom)
+    with pytest.raises(GeometryError, match=r"x2=\(2\.0, 0\.5, 0\.6\) lies outside"):
+        ProbePair([0.0, 0.5, 0.25], np.array([2.0, 0.5, 0.6])).validate_on(geom)
+    # the pair keeps the float tuples it checked: the three spellings are one
+    # record, equal and with one hash
+    pairs = [ProbePair([0, .5, .25], (2, .5, .25)), ProbePair((0.0, 0.5, 0.25), (2.0, 0.5, 0.25)),
+             ProbePair(np.array([0.0, 0.5, 0.25]), np.array([2.0, 0.5, 0.25]))]
+    assert all(p == pairs[0] for p in pairs) and len({hash(p) for p in pairs}) == 1
+    assert pairs[2].x1 == (0.0, 0.5, 0.25) and type(pairs[2].x1[0]) is float
 
 
 @pytest.mark.parametrize("catalog, sample", sorted(CLOSED_FORM_G))

@@ -225,6 +225,40 @@ def test_reproduce_tables_input_validation(ingaas_catalog):
         reproduce_tables(ingaas_catalog, g_source="guess")
 
 
+@pytest.mark.parametrize("mode, g_source", [("diagonal", "computed"), ("longitudinal", "guess"),
+                                            ("diagonal", "table")])
+def test_entry_g_refuses_an_unknown_mode_or_source(ingaas_catalog, mode, g_source):
+    with pytest.raises(ConfigError, match="unknown"):
+        ingaas_catalog[0].g(mode, g_source)
+
+
+def test_entry_g_is_the_table_or_the_computed_factor(ingaas_catalog):
+    v1 = ingaas_catalog[0]
+    assert v1.g("transverse", "table").value.to("cm^-1") == v1.g_tr_override == 1990.0
+    for mode, factor, probes in (
+            ("longitudinal", geometry.geometric_factor, v1.probes_longitudinal),
+            ("transverse", geometry.geometric_factor_transverse, v1.probes_transverse)):
+        for method in ("closed_form", "quadrature"):
+            assert v1.g(mode, method=method) == factor(v1.geom, probes, method=method)
+    film = next(e for e in load_catalog(bundled_config_text("ybco"))[0] if e.sample_id == "film")
+    assert film.g("longitudinal", "table") is None
+
+
+@pytest.mark.parametrize("g_source, computed", [("computed", 10), ("table", 0)])
+def test_report_computes_each_g_once_and_none_the_table_gives(ingaas_catalog, g_source,
+                                                              computed, monkeypatch):
+    # every ingaas sample tabulates both of its g
+    calls = []
+    for name in ("geometric_factor", "geometric_factor_transverse"):
+        real = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *a, real=real, **k: calls.append(real) or real(*a, **k))
+    for mode in ("longitudinal", "transverse"):
+        calls.clear()
+        reproduce_tables(ingaas_catalog, mode=mode, g_source=g_source)
+        assert len(calls) == computed
+
+
 def test_report_is_deterministic(capsys):
     argv = ["report", "--mode", "longitudinal", "--g-source", "computed"]
     assert cli.main(argv) == 0
@@ -334,6 +368,34 @@ def test_cli_refused_catalog_model_names_its_sample(argv, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "bulk-B" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, edits, message", [
+    (["kappa", "--sample", "film", "--g-source", "table"], ("ybco", {}),
+     "sample 'film' has no tabulated g for mode 'longitudinal'"),
+    (["delta"], ("gaas_piezo", {"h14 = -1.4e9 V/m": "h14 = -1.4e12 V/m"}),
+     "material 'gaas': (f*)^delta overflows at delta = 145930"),
+    (["kappa", "--sample", "bar"], ("gaas_piezo", {"h14 = -1.4e9 V/m": "h14 = -1.4e12 V/m"}),
+     "material 'gaas': kappa = inf is not finite and positive in [sample:bar]"),
+    (["spectrum", "--sample", "bar"], ("gaas_piezo", {"20 nm": "1e-22 cm"}),
+     "g = 0 cm^-1 is not finite and positive: the sample is too large, or too far "
+     "from a cube, for the floats in [sample:bar]"),
+], ids=["kappa-no-table-g", "delta-overflow", "kappa-overflow", "sliver-sample"])
+def test_cli_refuses_a_catalog_choice_in_one_error_line(argv, edits, message, capsys, tmp_path):
+    # delta raised (f*)^delta by hand and ended in an OverflowError traceback;
+    # the sliver, whose closed-form g cancels to 0, ended in "kappa = 0"
+    name, replace = edits
+    text = bundled_config_text(name)
+    for old, new in replace.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
@@ -470,10 +532,15 @@ def test_cli_verify_wk(capsys):
       "length = 0.2 cm": "length = 100 cm", "thickness = 0.01 cm": "thickness = 100 cm"},
      "material 'ybco': kappa = 0 is not finite"),
     ({"delta = 0.06": "delta = 100"}, "material 'ybco': kappa = inf is not finite"),
-], ids=["nan-delta", "inf-delta-and-kappa_exp", "inf-mass", "kappa-underflow", "kappa-overflow"])
+    ({"length = 0.2 cm": "length = 1e-170 cm", "width = 0.2 cm": "width = 1e-170 cm",
+      "thickness = 0.01 cm": "thickness = 1e-170 cm"},
+     "[sample:bulk-B]: sample dimensions 1e-170 x 1e-170 x 1e-170 cm leave the float range"),
+], ids=["nan-delta", "inf-delta-and-kappa_exp", "inf-mass", "kappa-underflow", "kappa-overflow",
+        "tiny-sample"])
 def test_cli_report_refuses_non_finite_catalog_numbers(edits, name, capsys, tmp_path):
     # these once printed gamma nan, or kappa_th inf and a nan ratio, with exit
-    # 0, or ended in a ZeroDivisionError or OverflowError traceback
+    # 0, or ended in a ZeroDivisionError or OverflowError traceback; the tiny
+    # sample ended in a math domain error
     text = bundled_config_text("ybco")
     for old, new in edits.items():
         assert old in text
