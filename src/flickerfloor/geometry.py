@@ -18,7 +18,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .units import InputError, Quantity, Record, quantity
+from .units import InputError, Quantity, Record, parse_unit, quantity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,11 +96,13 @@ class ProbePair(Record):
 
 
 class GeometricFactor(Record):
-    """g as a Quantity in cm^-1."""
+    """g as a Quantity in cm^-1; a value of another dimension is a GeometryError."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Quantity):
+        if getattr(value, "dim", None) != parse_unit("cm^-1").dim:
+            raise GeometryError(f"g must be a Quantity in cm^-1, got {value!r}")
         self._fill(locals())
 
 

@@ -9,6 +9,9 @@ piezoelectric electron-phonon shift M^2 / ((2 pi)^2 hbar rho0 u^3) and
 f* = u/d the corner frequency scale.  The finite-measurement-time result is
 valid up to fmax = 1/(2 pi hbar D Omega); above it the measured spectrum
 exceeds the bound roughly by (hbar * 2 pi f * D * Omega)^2.
+
+Units are checked where Material (against its UNITS) and GeometricFactor
+(cm^-1) are built, so the formulas here run on each Quantity's CGS float.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional, Sequence
 
 from .geometry import (GeometricFactor, ProbePair, SampleGeometry,
                        geometric_factor, geometric_factor_transverse)
-from .units import CODATA2018, DIMENSIONLESS, InputError, Quantity, Record, quantity
+from .units import CODATA2018, InputError, Quantity, Record, parse_unit, quantity
 
 
 class NoiseFloorError(InputError):
@@ -40,30 +43,35 @@ class CarrierSpecies(Record):
                                   "positive")
         self._fill(locals())
 
-    @property
-    def mass(self) -> Quantity:
-        return self.mass_m0 * CODATA2018.m0
-
 
 class Material(Record):
     """Material parameters entering kappa, delta, f* and the validity bound.
 
-    In CGS: mass density rho0 (g/cm^3), sound velocity u (cm/s), lattice
-    constant d (cm), density of states dos (1/(erg*cm^3)) and, when known,
-    the piezoelectric constant h14 (statvolt/cm) or the angular mean coupling
-    m2_lambda (erg^2/cm^2).  acoustic_match is "matched" or "reflecting".
+    Mass density rho0, sound velocity u, lattice constant d, density of
+    states dos and, when known, the piezoelectric constant h14 or the angular
+    mean coupling m2_lambda: each a Quantity of its unit in UNITS, a CGS base
+    unit, else a NoiseFloorError.  acoustic_match is "matched" or "reflecting".
     """
 
     __slots__ = ("name", "carriers", "rho0", "u", "d", "dos", "h14", "m2_lambda",
                  "acoustic_match")
+    UNITS = {"rho0": "g/cm^3", "u": "cm/s", "d": "cm", "dos": "1/(erg*cm^3)",
+             "h14": "statvolt/cm", "m2_lambda": "erg^2/cm^2"}
 
     def __init__(self, name: str, carriers: tuple[CarrierSpecies, ...], rho0: Quantity,
                  u: Quantity, d: Quantity, dos: Quantity, h14: Optional[Quantity] = None,
                  m2_lambda: Optional[Quantity] = None, acoustic_match: str = "matched"):
         if not carriers:
             raise NoiseFloorError(f"material '{name}': needs at least one carrier species")
-        for field, q in (("rho0", rho0), ("u", u), ("d", d), ("dos", dos)):
-            if not q.value > 0:
+        given = locals()
+        for field, unit in self.UNITS.items():
+            q, optional = given[field], field in ("h14", "m2_lambda")
+            if q is None and optional:
+                continue
+            if getattr(q, "dim", None) != parse_unit(unit).dim:
+                raise NoiseFloorError(f"material '{name}': {field} must be a Quantity in "
+                                      f"{unit}, got {q!r}")
+            if not (optional or q.value > 0):
                 raise NoiseFloorError(f"material '{name}': {field} must be positive")
         if acoustic_match not in ("matched", "reflecting"):
             raise NoiseFloorError(
@@ -124,36 +132,41 @@ def kappa(g: GeometricFactor, material: Material, single_species: bool = False) 
     if single_species:
         species = [min(material.carriers, key=lambda s: s.mass_m0)]
     c = CODATA2018
-    total = quantity(0.0)
+    total = 0.0
     for sp in species:
-        term = 2.0 * c.e ** 4 * g.value / (math.pi * sp.mass * c.hbar * c.c ** 3)
-        total = total + term
-    assert total.dim == DIMENSIONLESS
-    return total.value
+        total += 2.0 * c.e.value ** 4 * g.value.value / (
+            math.pi * (sp.mass_m0 * c.m0.value) * c.hbar.value * c.c.value ** 3)
+    return total
 
 
 def phonon_delta(material: Material) -> float:
     """Frequency-exponent shift delta = M^2 / ((2 pi)^2 hbar rho0 u^3).
 
     M^2 is taken directly when given, otherwise as (e*h14)^2.  A reflecting
-    acoustic boundary cuts off the long-wavelength phonons: delta = 0.
+    acoustic boundary cuts off the long-wavelength phonons: delta = 0.  A
+    delta that leaves the float range is a NoiseFloorError.
     """
     if material.acoustic_match == "reflecting":
         return 0.0
-    if material.m2_lambda is not None:
-        m2 = material.m2_lambda
-    elif material.h14 is not None:
-        m2 = (CODATA2018.e * material.h14) ** 2
-    else:
+    if material.m2_lambda is None and material.h14 is None:
         raise MissingPiezoDataError(
             f"material '{material.name}' has neither m2_lambda nor h14; "
             "delta unavailable, use gamma = 1")
     c = CODATA2018
-    delta = m2 / ((2.0 * math.pi) ** 2 * c.hbar * material.rho0 * material.u ** 3)
-    assert delta.dim == DIMENSIONLESS
-    if delta.value < 0:
+    # (e*h14)^2 or u^3 may overflow, and the denominator underflow to 0
+    try:
+        m2 = (material.m2_lambda.value if material.m2_lambda is not None
+              else (c.e.value * material.h14.value) ** 2)
+        delta = m2 / ((2.0 * math.pi) ** 2 * c.hbar.value * material.rho0.value
+                      * material.u.value ** 3)
+    except (OverflowError, ZeroDivisionError):
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise NoiseFloorError(f"material '{material.name}': delta = M^2/((2 pi)^2 hbar rho0 "
+                              "u^3) is out of floating-point range")
+    if delta < 0:
         raise NoiseFloorError("piezoelectric coupling must give delta >= 0")
-    return delta.value
+    return delta
 
 
 def corner_frequency(material: Material) -> Quantity:
@@ -164,7 +177,7 @@ def corner_frequency(material: Material) -> Quantity:
 def corner_power(material: Material, delta: float) -> float:
     """(f*)^delta, f* in Hz, which kappa carries: inf when it overflows."""
     try:
-        return corner_frequency(material).to("Hz") ** delta
+        return corner_frequency(material).value ** delta
     except OverflowError:
         return math.inf
 
@@ -204,11 +217,10 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
     if not 0 < k < math.inf:
         raise NoiseFloorError(f"material '{material.name}': kappa = {k:g} is not finite "
                               "and positive")
-    hbar_d_omega = CODATA2018.hbar * material.dos * quantity(geom.volume, "cm^3")
-    assert hbar_d_omega.dim == quantity(1.0, "s").dim
+    hbar_d_omega = CODATA2018.hbar.value * material.dos.value * geom.volume  # s
     return NoiseFloorModel(kappa=k, gamma=1.0 + delta,
-                           fmax=1.0 / (2.0 * math.pi * hbar_d_omega),
-                           hbar_d_omega=hbar_d_omega.value, caveats=tuple(caveats))
+                           fmax=quantity(1.0 / (2.0 * math.pi * hbar_d_omega), "Hz"),
+                           hbar_d_omega=hbar_d_omega, caveats=tuple(caveats))
 
 
 def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumSeries:

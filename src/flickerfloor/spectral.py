@@ -507,21 +507,24 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
 
 @functools.lru_cache(maxsize=1)  # an ensemble draws every record with one key
 def _amplitude_profile(gamma: float, n: int) -> np.ndarray:
-    """Standard deviation of the real and of the imaginary part of each rfft bin.
+    """Standard deviation of the real and of the imaginary part of each rfft
+    bin, interleaved as in the bins' float view: (re_0, im_0, re_1, ...).
 
     s_k ~ k^(-gamma/2), or f_k^(-gamma/2) up to a factor that the scaling
-    removes; the DC bin is 0, and the real Nyquist bin gets sqrt(2) s_k so
-    that E|X_k|^2 ~ f_k^(-gamma) on every bin.  By Parseval the expected mean
-    square of irfft(X) is the sum of E|X_k|^2 over the full spectrum over n^2,
-    which the profile is scaled to make 1.  Read-only: it is shared.
+    removes; the DC bin is 0, and the Nyquist bin is real, with sqrt(2) s_k
+    so that E|X_k|^2 ~ f_k^(-gamma) on every bin.  By Parseval the expected
+    mean square of irfft(X) is the sum of E|X_k|^2 over the full spectrum
+    over n^2, which the profile is scaled to make 1.  Read-only: it is shared.
     """
     sd = np.zeros(n // 2 + 1)
     sd[1:] = np.arange(1, n // 2 + 1) ** (-gamma / 2.0)
     sd[-1] *= math.sqrt(2.0)
     expected = (4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2
     sd *= math.sqrt(1.0 / expected)
-    sd.flags.writeable = False
-    return sd
+    parts = np.repeat(sd, 2)
+    parts[-1] = 0.0  # the Nyquist bin is real
+    parts.flags.writeable = False
+    return parts
 
 
 def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int) -> SignalRecord:
@@ -541,8 +544,7 @@ def synthesize_power_law_noise(gamma: float, n: int, dt: float, seed: int) -> Si
     if not (math.isfinite(dt) and dt > 0):
         raise SpectralError(f"dt must be finite and positive, got {dt}")
     spectrum = np.empty(n // 2 + 1, dtype=complex)
-    parts = spectrum.view(float).reshape(-1, 2)  # (bins, real and imaginary part)
+    parts = spectrum.view(float)  # real and imaginary part of each bin in turn
     np.random.default_rng(seed).standard_normal(out=parts)
-    parts *= _amplitude_profile(gamma, n)[:, None]
-    parts[-1, 1] = 0.0  # the Nyquist bin is real
+    parts *= _amplitude_profile(gamma, n)
     return SignalRecord(samples=np.fft.irfft(spectrum, n=n), dt=dt)

@@ -4,7 +4,9 @@ Internally everything is stored in (cm, g, s); electrostatic charge is folded
 into the mechanical base as esu = g^(1/2) cm^(3/2) s^(-1), so Gaussian
 formulas like e^4*g/(m*hbar*c^3) come out dimensionless at the exponent
 level.  Exponents are exact integers counted in halves, all that esu needs.
-SI units are accepted at the I/O boundary only.
+SI units are accepted at the I/O boundary only, and dimensions are checked
+where a record takes a Quantity; formulas then run on CGS floats, so a
+Quantity multiplies, divides and raises to powers but does not add.
 """
 
 from __future__ import annotations
@@ -128,15 +130,6 @@ class Quantity(Record):
         _set(self, "value", value)
         _set(self, "dim", dim)
 
-    def _require_same_dim(self, other: "Quantity", op: str) -> None:
-        if self.dim != other.dim:
-            raise DimensionError(
-                f"cannot {op} quantities of dimension [{self.dim}] and [{other.dim}]")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "add")
-        return Quantity(self.value + other.value, self.dim)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value * other.value, self.dim * other.dim)
@@ -148,9 +141,6 @@ class Quantity(Record):
         if isinstance(other, Quantity):
             return Quantity(self.value / other.value, self.dim / other.dim)
         return Quantity(self.value / other, self.dim)
-
-    def __rtruediv__(self, other) -> "Quantity":
-        return Quantity(other / self.value, DIMENSIONLESS / self.dim)
 
     def __pow__(self, n: float) -> "Quantity":
         return Quantity(self.value ** float(n), self.dim ** n)

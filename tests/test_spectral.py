@@ -637,7 +637,9 @@ def test_synthesis_scales_to_the_expected_variance():
     # Parseval: the profile's expected mean square is 1; each record's own
     # variance scatters about it instead of equalling it
     n = 1024
-    sd = spectral._amplitude_profile(1.0, n)
+    profile = spectral._amplitude_profile(1.0, n)
+    sd = profile[::2]  # per bin; the imaginary parts equal it but at the real Nyquist bin
+    np.testing.assert_array_equal(profile[1::2], np.append(sd[:-1], 0.0))
     assert sd[0] == 0.0
     power = 2.0 * sd[1:] ** 2  # E|X_k|^2, real and imaginary part
     power[-1] = sd[-1] ** 2    # the Nyquist bin has a real part only
@@ -647,6 +649,24 @@ def test_synthesis_scales_to_the_expected_variance():
                             for s in range(400)])
     assert abs(mean_square.mean() - 1.0) < 3.0 * mean_square.std() / math.sqrt(400)
     assert mean_square.std() > 0.1
+
+
+@pytest.mark.parametrize("n", [2, 4, 1024, 2 ** 16])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
+def test_synthesis_matches_the_per_bin_profile_bit_for_bit(gamma, n):
+    # the draws as (bins, real and imaginary part), scaled by a per-bin
+    # profile broadcast over the pair, the Nyquist bin's imaginary part zeroed
+    sd = np.zeros(n // 2 + 1)
+    sd[1:] = np.arange(1, n // 2 + 1) ** (-gamma / 2.0)
+    sd[-1] *= math.sqrt(2.0)
+    sd *= math.sqrt(1.0 / ((4.0 * np.sum(sd[1:-1] ** 2) + sd[-1] ** 2) / n ** 2))
+    spectrum = np.empty(n // 2 + 1, dtype=complex)
+    parts = spectrum.view(float).reshape(-1, 2)
+    np.random.default_rng(7).standard_normal(out=parts)
+    parts *= sd[:, None]
+    parts[-1, 1] = 0.0
+    record = synthesize_power_law_noise(gamma, n, 0.5, seed=7)
+    assert record.samples.tobytes() == np.fft.irfft(spectrum, n=n).tobytes()
 
 
 def test_white_synthesis_is_flat_up_to_the_nyquist_bin():

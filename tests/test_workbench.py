@@ -399,6 +399,27 @@ def test_cli_refuses_a_catalog_choice_in_one_error_line(argv, edits, message, ca
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["delta"], ["kappa", "--sample", "bar"], ["report"]])
+@pytest.mark.parametrize("old, new", [("h14 = -1.4e9 V/m", "h14 = 1e200 V/m"),
+                                      ("u = 2.5e5 cm/s", "u = 1e300 cm/s"),
+                                      ("u = 2.5e5 cm/s", "u = 1e-300 cm/s")],
+                         ids=["h14-overflow", "u-overflow", "u-underflow"])
+def test_cli_delta_out_of_float_range_is_one_error_line(argv, old, new, capsys, tmp_path):
+    # (e*h14)^2 and u^3 overflowed, and u^3 underflowed to a ZeroDivisionError,
+    # in tracebacks
+    text = bundled_config_text("gaas_piezo")
+    assert old in text
+    cfg = tmp_path / "gaas_piezo.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: material 'gaas': delta = ")
+    assert "out of floating-point range" in captured.err
+    assert (argv == ["delta"]) != captured.err.endswith("in [sample:bar]\n")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 def estimate_rows(argv, capsys):
     assert cli.main(["estimate", *argv]) == 0
     captured = capsys.readouterr()
