@@ -161,11 +161,8 @@ def cmd_delta(args) -> int:
         raise ConfigError("catalog defines no material")
     delta = noise_floor.phonon_delta(mat)
     fstar = noise_floor.corner_frequency(mat).to("Hz")
-    mag = noise_floor.corner_power(mat, delta)
-    if mag == math.inf:
-        raise ConfigError(f"material '{mat.name}': (f*)^delta overflows at delta = {delta:g}")
-    print(f"delta = {delta:.6g}  gamma = {1.0 + delta:.6g}  "
-          f"f* = {fstar:.6g} Hz  (f*)^delta = {mag:.6g}")
+    print(f"delta = {delta:.6g}  gamma = {1.0 + delta:.6g}  f* = {fstar:.6g} Hz  "
+          f"(f*)^delta = {noise_floor.corner_power(mat, delta):.6g}")
     return 0
 
 

@@ -11,7 +11,8 @@ valid up to fmax = 1/(2 pi hbar D Omega); above it the measured spectrum
 exceeds the bound roughly by (hbar * 2 pi f * D * Omega)^2.
 
 Units are checked where Material (against its UNITS) and GeometricFactor
-(cm^-1) are built, so the formulas here run on each Quantity's CGS float.
+(cm^-1) are built, so the formulas run on CGS floats; _in_range refuses one
+that leaves the float range, naming the material and the quantity.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class Material(Record):
             if getattr(q, "dim", None) != parse_unit(unit).dim:
                 raise NoiseFloorError(f"material '{name}': {field} must be a Quantity in "
                                       f"{unit}, got {q!r}")
-            if not (optional or q.value > 0):
+            if not (field == "h14" or q.value > 0):  # only h14^2 enters delta
                 raise NoiseFloorError(f"material '{name}': {field} must be positive")
         if acoustic_match not in ("matched", "reflecting"):
             raise NoiseFloorError(
@@ -123,6 +124,19 @@ class NoiseFloorModel(Record):
         return excess
 
 
+def _in_range(material: Material, compute, what: str, positive=False, **fields) -> float:
+    """compute(), a noise-floor float.  An OverflowError or ZeroDivisionError
+    in it, or a result not finite (with positive, not positive), is a
+    NoiseFloorError: the material, then what.format(value=result, **fields)."""
+    try:
+        x = compute()
+    except (OverflowError, ZeroDivisionError):
+        x = math.inf
+    if not math.isfinite(x) or (positive and not x > 0):
+        raise NoiseFloorError(f"material '{material.name}': " + what.format(value=x, **fields))
+    return x
+
+
 def kappa(g: GeometricFactor, material: Material, single_species: bool = False) -> float:
     """Dimensionless noise magnitude 2 e^4 g / (pi m hbar c^3), summed over species.
 
@@ -133,9 +147,11 @@ def kappa(g: GeometricFactor, material: Material, single_species: bool = False) 
         species = [min(material.carriers, key=lambda s: s.mass_m0)]
     c = CODATA2018
     total = 0.0
-    for sp in species:
-        total += 2.0 * c.e.value ** 4 * g.value.value / (
-            math.pi * (sp.mass_m0 * c.m0.value) * c.hbar.value * c.c.value ** 3)
+    for sp in species:  # a tiny mass underflows the denominator to 0, a ZeroDivisionError
+        total = _in_range(material, lambda: total + 2.0 * c.e.value ** 4 * g.value.value / (
+            math.pi * (sp.mass_m0 * c.m0.value) * c.hbar.value * c.c.value ** 3),
+            "kappa of carrier '{label}' (m = {mass:g} m0) is out of floating-point range",
+            label=sp.label, mass=sp.mass_m0)
     return total
 
 
@@ -152,21 +168,12 @@ def phonon_delta(material: Material) -> float:
         raise MissingPiezoDataError(
             f"material '{material.name}' has neither m2_lambda nor h14; "
             "delta unavailable, use gamma = 1")
-    c = CODATA2018
+    c, m2_lambda = CODATA2018, material.m2_lambda
     # (e*h14)^2 or u^3 may overflow, and the denominator underflow to 0
-    try:
-        m2 = (material.m2_lambda.value if material.m2_lambda is not None
-              else (c.e.value * material.h14.value) ** 2)
-        delta = m2 / ((2.0 * math.pi) ** 2 * c.hbar.value * material.rho0.value
-                      * material.u.value ** 3)
-    except (OverflowError, ZeroDivisionError):
-        delta = math.inf
-    if not math.isfinite(delta):
-        raise NoiseFloorError(f"material '{material.name}': delta = M^2/((2 pi)^2 hbar rho0 "
-                              "u^3) is out of floating-point range")
-    if delta < 0:
-        raise NoiseFloorError("piezoelectric coupling must give delta >= 0")
-    return delta
+    return _in_range(material, lambda: (
+        m2_lambda.value if m2_lambda is not None else (c.e.value * material.h14.value) ** 2
+    ) / ((2.0 * math.pi) ** 2 * c.hbar.value * material.rho0.value * material.u.value ** 3),
+        "delta = M^2/((2 pi)^2 hbar rho0 u^3) is out of floating-point range")
 
 
 def corner_frequency(material: Material) -> Quantity:
@@ -175,11 +182,9 @@ def corner_frequency(material: Material) -> Quantity:
 
 
 def corner_power(material: Material, delta: float) -> float:
-    """(f*)^delta, f* in Hz, which kappa carries: inf when it overflows."""
-    try:
-        return corner_frequency(material).value ** delta
-    except OverflowError:
-        return math.inf
+    """(f*)^delta, f* in Hz, which kappa carries; a NoiseFloorError if it overflows."""
+    return _in_range(material, lambda: corner_frequency(material).value ** delta,
+                     "(f*)^delta overflows at delta = {delta:g}", delta=delta)
 
 
 def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
@@ -213,13 +218,13 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
             caveats.append("no piezo data; gamma=1")
         if delta > 0:
             caveats.append("state filling smears the effective delta; empty-band value used")
-    k = kappa(g, material, single_species=single_species) * corner_power(material, delta)
-    if not 0 < k < math.inf:
-        raise NoiseFloorError(f"material '{material.name}': kappa = {k:g} is not finite "
-                              "and positive")
+    k = _in_range(material, lambda: kappa(g, material, single_species=single_species)
+                  * corner_power(material, delta), "kappa = {value:g} is not finite and positive",
+                  positive=True)
     hbar_d_omega = CODATA2018.hbar.value * material.dos.value * geom.volume  # s
-    return NoiseFloorModel(kappa=k, gamma=1.0 + delta,
-                           fmax=quantity(1.0 / (2.0 * math.pi * hbar_d_omega), "Hz"),
+    fmax = _in_range(material, lambda: 1.0 / (2.0 * math.pi * hbar_d_omega),
+                     "fmax = 1/(2 pi hbar D Omega) is out of floating-point range")
+    return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fmax=quantity(fmax, "Hz"),
                            hbar_d_omega=hbar_d_omega, caveats=tuple(caveats))
 
 

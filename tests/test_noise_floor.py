@@ -107,6 +107,14 @@ def test_kappa_requires_carriers():
                  d=quantity(5e-8, "cm"), dos=quantity(1e22, "1/(eV*cm^3)"))
 
 
+def test_kappa_of_a_vanishing_mass_names_the_carrier():
+    # pi*m*hbar underflows to 0 before c^3 can lift it: a ZeroDivisionError
+    mat = make_material(carriers=(CarrierSpecies("n", 1e-300),))
+    with pytest.raises(NoiseFloorError, match=r"^material 'well': kappa of carrier 'n' "
+                                              r"\(m = 1e-300 m0\) is out of floating"):
+        kappa(gfactor(9630.0), mat)
+
+
 @pytest.mark.parametrize("bad", [quantity(1.0, "s"), 1.0], ids=["seconds", "float"])
 @pytest.mark.parametrize("field", list(Material.UNITS))
 def test_material_refuses_a_field_in_a_wrong_unit(field, bad):
@@ -114,6 +122,15 @@ def test_material_refuses_a_field_in_a_wrong_unit(field, bad):
                        match=f"material 'well': {field} must be a Quantity in "
                              f"{re.escape(Material.UNITS[field])}"):
         make_material(**{field: bad})
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+@pytest.mark.parametrize("field", [field for field in Material.UNITS if field != "h14"])
+def test_material_refuses_a_field_that_is_not_positive(field, value):
+    # a negative m2_lambda was once refused only by phonon_delta, naming
+    # neither the material nor the field
+    with pytest.raises(NoiseFloorError, match=f"^material 'well': {field} must be positive"):
+        make_material(**{field: quantity(value, Material.UNITS[field])})
 
 
 @pytest.mark.parametrize("bad", [quantity(1.0, "cm"), quantity(1.0), 1.0],
@@ -160,6 +177,14 @@ def test_corner_frequency():
     assert corner_frequency(make_material()).to("Hz") == pytest.approx(5e12, rel=1e-12)
 
 
+def test_corner_power_overflow_names_the_material():
+    # (f*)^delta was inf here, which each caller had to check for
+    ybco = workbench.load_catalog(workbench.bundled_config_text("ybco"))[1]["ybco"]
+    with pytest.raises(NoiseFloorError,
+                       match=r"^material 'ybco': \(f\*\)\^delta overflows at delta = 100$"):
+        corner_power(ybco, 100.0)
+
+
 # ---------------------------------------------------------------------------
 # validity bound
 # ---------------------------------------------------------------------------
@@ -190,6 +215,16 @@ def test_excess_factor_overflow_names_the_frequency():
     model = model_on(make_material(), SampleGeometry(l=1e-4, w=1e-4, a=1e-4))
     with pytest.raises(NoiseFloorError, match=r"f = 1e\+308 Hz"):
         model.excess_factor(1e308)
+
+
+@pytest.mark.parametrize("dos", [1e-300, 1e-290])
+def test_fmax_out_of_float_range_names_the_material(dos):
+    # hbar*D*Omega underflows to 0 (a ZeroDivisionError) or 1/(2 pi hbar*D*Omega)
+    # overflows to inf, which the model once carried as its fmax
+    mat = make_material(dos=quantity(dos, "1/(eV*cm^3)"))
+    with pytest.raises(NoiseFloorError, match=r"^material 'well': fmax = 1/\(2 pi hbar D "
+                                              r"Omega\) is out of floating-point range"):
+        model_on(mat, v1_geometry())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -377,7 +378,7 @@ def test_cli_refused_catalog_model_names_its_sample(argv, capsys, tmp_path):
     (["delta"], ("gaas_piezo", {"h14 = -1.4e9 V/m": "h14 = -1.4e12 V/m"}),
      "material 'gaas': (f*)^delta overflows at delta = 145930"),
     (["kappa", "--sample", "bar"], ("gaas_piezo", {"h14 = -1.4e9 V/m": "h14 = -1.4e12 V/m"}),
-     "material 'gaas': kappa = inf is not finite and positive in [sample:bar]"),
+     "material 'gaas': (f*)^delta overflows at delta = 145930 in [sample:bar]"),
     (["spectrum", "--sample", "bar"], ("gaas_piezo", {"20 nm": "1e-22 cm"}),
      "g = 0 cm^-1 is not finite and positive: the sample is too large, or too far "
      "from a cube, for the floats in [sample:bar]"),
@@ -418,6 +419,49 @@ def test_cli_delta_out_of_float_range_is_one_error_line(argv, old, new, capsys, 
     assert "out of floating-point range" in captured.err
     assert (argv == ["delta"]) != captured.err.endswith("in [sample:bar]\n")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+SWEEP_CALLS = [["kappa", "--sample", "bar"], ["kappa", "--sample", "bar", "--mode", "transverse"],
+               ["report"], ["spectrum", "--sample", "bar", "--points", "5"], ["delta"],
+               ["factor", "--sample", "bar"], ["factor", "--sample", "bar", "--method", "quadrature"]]
+SWEEP_FIELDS = {"carriers": ("n:0.06, p:0.09", "n:{}"), "rho0": ("5.3 g/cm^3", "{} g/cm^3"),
+                "u": ("2.5e5 cm/s", "{} cm/s"), "d": ("5e-8 cm", "{} cm"),
+                "dos": ("1e22 1/(eV*cm^3)", "{} 1/(eV*cm^3)"), "h14": ("-1.4e9 V/m", "{} V/m"),
+                "length": ("20 um", "{} cm"), "width": ("5 um", "{} cm"),
+                "thickness": ("20 nm", "{} cm")}
+
+
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in SWEEP_FIELDS for value in ("1e-320", "1e307")),
+    ("carriers", "1e-280"), ("dos", "1e-300"), ("dos", "1e-290"), ("h14", "1e-200"),
+    ("h14", "1e100"),
+], ids=lambda v: v)
+def test_cli_answers_or_refuses_each_catalog_number_in_one_line(field, value, capsys, tmp_path):
+    # a carrier mass at or below about 1e-280 m0 underflowed kappa's denominator,
+    # and a dos of 1e-300 1/(eV*cm^3) hbar*D*Omega, to 0: ZeroDivisionError
+    # tracebacks; a dos of 1e-290 printed fmax = inf Hz with exit 0
+    old, new = SWEEP_FIELDS[field]
+    line = f"{field} = {old}"
+    text = bundled_config_text("gaas_piezo")
+    assert line in text
+    cfg = tmp_path / "gaas_piezo.cfg"
+    cfg.write_text(text.replace(line, f"{field} = {new.format(value)}"))
+    for argv in SWEEP_CALLS:
+        code = cli.main([*argv, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == "" and not re.search(r"\b(inf|nan)\b", captured.out)
+        else:
+            assert code == 1 and captured.out == "" and captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_cli_delta_of_an_underflowing_coupling_is_gamma_1(capsys, tmp_path):
+    # (e*h14)^2 underflows to 0 at h14 = 1e-200 V/m: delta = 0 is an answer
+    cfg = tmp_path / "gaas_piezo.cfg"
+    cfg.write_text(bundled_config_text("gaas_piezo").replace("-1.4e9 V/m", "1e-200 V/m"))
+    assert cli.main(["delta", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "delta = 0  gamma = 1  f* = 5e+12 Hz  (f*)^delta = 1\n"
 
 
 def estimate_rows(argv, capsys):
@@ -552,7 +596,7 @@ def test_cli_verify_wk(capsys):
     ({"carriers = p:3.0": "carriers = p:1e308", "width = 0.2 cm": "width = 100 cm",
       "length = 0.2 cm": "length = 100 cm", "thickness = 0.01 cm": "thickness = 100 cm"},
      "material 'ybco': kappa = 0 is not finite"),
-    ({"delta = 0.06": "delta = 100"}, "material 'ybco': kappa = inf is not finite"),
+    ({"delta = 0.06": "delta = 100"}, "material 'ybco': (f*)^delta overflows at delta = 100"),
     ({"length = 0.2 cm": "length = 1e-170 cm", "width = 0.2 cm": "width = 1e-170 cm",
       "thickness = 0.01 cm": "thickness = 1e-170 cm"},
      "[sample:bulk-B]: sample dimensions 1e-170 x 1e-170 x 1e-170 cm leave the float range"),
