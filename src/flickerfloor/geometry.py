@@ -260,15 +260,15 @@ def _column_corner_integral(u: Point, v: Point, floor_h: float) -> float:
     return total
 
 
-def _box_integral(dims: Point, x: Point, method: str) -> float:
-    """Integral of 1/|r - x| over the box [0, dims]; the one place where the
-    method picks the rule.
+def _box_integral(dims: Point, points, method: str) -> float:
+    """Sum over points of the integral of 1/|r - x| over the box [0, dims];
+    the one place where the method picks the rule.
 
-    The box is split at x into its corner boxes.  Each distinct one is
-    evaluated once, by the exact corner primitive ("closed_form") or by
-    _column_corner_integral with columns down to _SIZE_FLOOR times the diagonal
-    of `dims` ("quadrature"), and its value is added once per occurrence, in
-    the split's order: a probe at the centre of a face evaluates one box.
+    The box is split at each x into its corner boxes.  Each distinct one is
+    evaluated once per call, by the exact corner primitive ("closed_form") or
+    by _column_corner_integral with columns down to _SIZE_FLOOR times the
+    diagonal of `dims` ("quadrature"): a face-centre probe and its mirror image
+    evaluate one box.  Each x's values add in its split order, then the sums.
     """
     if method == "closed_form":
         rule = _corner_box_integral
@@ -279,10 +279,13 @@ def _box_integral(dims: Point, x: Point, method: str) -> float:
         raise GeometryError(f"unknown method '{method}'")
     values = {}
     total = 0.0
-    for box in _corner_boxes(dims, x):
-        if box not in values:
-            values[box] = rule(*box)
-        total += values[box]
+    for x in points:
+        part = 0.0
+        for box in _corner_boxes(dims, x):
+            if box not in values:
+                values[box] = rule(*box)
+            part += values[box]
+        total += part
     return total
 
 
@@ -300,18 +303,12 @@ def coulomb_box_integral(geom: SampleGeometry, x, method: str = "closed_form") -
     p = _point(x)
     if p is None:
         raise GeometryError(f"evaluation point must be a finite 3-vector, got {x!r}")
-    return quantity(_box_integral(geom.dims, p, method), "cm^2")
+    return quantity(_box_integral(geom.dims, (p,), method), "cm^2")
 
 
 def _probe_integral_sum(geom: SampleGeometry, probes: ProbePair, method: str) -> float:
     probes.validate_on(geom)
-    dims, p1, p2 = geom.dims, probes.x1, probes.x2
-    # the integral is even under each of the box's three mirror planes; the
-    # distance to the nearer face per axis is exact (d - c is, for c >= d/2)
-    fold1, fold2 = (tuple(min(c, d - c) for c, d in zip(p, dims)) for p in (p1, p2))
-    if fold1 == fold2:
-        return 2.0 * _box_integral(dims, p1, method)
-    return _box_integral(dims, p1, method) + _box_integral(dims, p2, method)
+    return _box_integral(geom.dims, (probes.x1, probes.x2), method)
 
 
 def _factor(g: float) -> GeometricFactor:

@@ -177,12 +177,15 @@ def phonon_delta(material: Material) -> float:
 
 
 def corner_frequency(material: Material) -> Quantity:
-    """Corner scale f* = u/d, in Hz."""
-    return material.u / material.d
+    """Corner scale f* = u/d, in Hz; a NoiseFloorError unless finite and positive."""
+    return quantity(_in_range(material, lambda: material.u.value / material.d.value,
+                              "f* = u/d is out of floating-point range", positive=True), "Hz")
 
 
 def corner_power(material: Material, delta: float) -> float:
     """(f*)^delta, f* in Hz, which kappa carries; a NoiseFloorError if it overflows."""
+    if delta == 0.0:  # 1 for any f*, so an f* out of range refuses no kappa
+        return 1.0
     return _in_range(material, lambda: corner_frequency(material).value ** delta,
                      "(f*)^delta overflows at delta = {delta:g}", delta=delta)
 
@@ -221,7 +224,9 @@ def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
     k = _in_range(material, lambda: kappa(g, material, single_species=single_species)
                   * corner_power(material, delta), "kappa = {value:g} is not finite and positive",
                   positive=True)
-    hbar_d_omega = CODATA2018.hbar.value * material.dos.value * geom.volume  # s
+    # hbar*D*Omega in s; an underflow to 0 is left to the fmax gate
+    hbar_d_omega = _in_range(material, lambda: CODATA2018.hbar.value * material.dos.value
+                             * geom.volume, "hbar D Omega is out of floating-point range")
     fmax = _in_range(material, lambda: 1.0 / (2.0 * math.pi * hbar_d_omega),
                      "fmax = 1/(2 pi hbar D Omega) is out of floating-point range")
     return NoiseFloorModel(kappa=k, gamma=1.0 + delta, fmax=quantity(fmax, "Hz"),

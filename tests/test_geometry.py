@@ -493,6 +493,27 @@ def test_closed_form_evaluates_each_distinct_corner_box_once(monkeypatch, point,
     assert got == want
 
 
+@pytest.mark.parametrize("method, rule", [("closed_form", "_corner_box_integral"),
+                                          ("quadrature", "_column_corner_integral")])
+def test_mirror_pair_evaluates_one_probes_corner_boxes(monkeypatch, method, rule):
+    # x2 is x1 mirrored across x = l/2, exactly (1 - 0.75 is 0.25), and not a
+    # catalog pair: x2 splits the box into x1's eight corner boxes in another
+    # order and finds each one evaluated
+    geom = SampleGeometry(l=1.0, w=0.7, a=0.4)
+    probes = ProbePair((0.25, 0.2, 0.1), (0.75, 0.2, 0.1))
+    split1, split2 = (list(geometry._corner_boxes(geom.dims, x)) for x in (probes.x1, probes.x2))
+    assert split1 != split2 and sorted(split1) == sorted(split2) and len(set(split1)) == 8
+    calls = []
+    real = getattr(geometry, rule)
+    monkeypatch.setattr(geometry, rule,
+                        lambda u, v, *rest: calls.append((u, v)) or real(u, v, *rest))
+    for factor in (geometric_factor, geometric_factor_transverse):
+        calls.clear()
+        g = factor(geom, probes, method=method).value.to("cm^-1")
+        assert sorted(calls) == sorted(split1)
+        assert g == two_integral_factor(geom, probes, factor, method)
+
+
 @pytest.mark.parametrize("side", [s for s in itertools.product((-1, 0, 1), repeat=3)
                                   if s != (0, 0, 0)])
 def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(column_runs, side):

@@ -185,6 +185,21 @@ def test_corner_power_overflow_names_the_material():
         corner_power(ybco, 100.0)
 
 
+@pytest.mark.parametrize("u, d", [(2.5e5, 1e-320), (1e-320, 1e10)], ids=["overflow", "underflow"])
+def test_corner_frequency_out_of_float_range_names_the_material(u, d):
+    # u/d was returned as inf or 0 Hz
+    mat = make_material(u=quantity(u, "cm/s"), d=quantity(d, "cm"))
+    with pytest.raises(NoiseFloorError, match=r"^material 'well': f\* = u/d is out of "
+                                              r"floating-point range$"):
+        corner_frequency(mat)
+
+
+def test_corner_power_at_delta_0_is_1_for_any_f_star():
+    # u/d overflows, but (f*)^0 is 1 and f* is not computed
+    mat = make_material(d=quantity(1e-320, "cm"))
+    assert corner_power(mat, 0.0) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # validity bound
 # ---------------------------------------------------------------------------
@@ -225,6 +240,14 @@ def test_fmax_out_of_float_range_names_the_material(dos):
     with pytest.raises(NoiseFloorError, match=r"^material 'well': fmax = 1/\(2 pi hbar D "
                                               r"Omega\) is out of floating-point range"):
         model_on(mat, v1_geometry())
+
+
+def test_hbar_d_omega_overflow_names_the_material():
+    # hbar*D*Omega overflowed to inf, and the model carried fmax = 1/inf = 0 Hz
+    mat = make_material(dos=quantity(1e296, "1/(eV*cm^3)"))
+    with pytest.raises(NoiseFloorError, match=r"^material 'well': hbar D Omega is out of "
+                                              r"floating-point range$"):
+        model_on(mat, SampleGeometry(l=1e10, w=1e10, a=1e10))
 
 
 # ---------------------------------------------------------------------------

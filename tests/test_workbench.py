@@ -372,6 +372,13 @@ def test_cli_refused_catalog_model_names_its_sample(argv, capsys, tmp_path):
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+FSTAR_OVERFLOW = {"d = 5e-8 cm": "d = 1e-320 cm",
+                  "acoustic_match = matched": "acoustic_match = reflecting"}
+HBAR_D_OMEGA_OVERFLOW = {"dos = 1e22 1/(eV*cm^3)": "dos = 1e296 1/(eV*cm^3)",
+                         "width = 5 um": "width = 1e10 cm", "length = 20 um": "length = 1e10 cm",
+                         "thickness = 20 nm": "thickness = 1e10 cm"}
+
+
 @pytest.mark.parametrize("argv, edits, message", [
     (["kappa", "--sample", "film", "--g-source", "table"], ("ybco", {}),
      "sample 'film' has no tabulated g for mode 'longitudinal'"),
@@ -382,7 +389,17 @@ def test_cli_refused_catalog_model_names_its_sample(argv, capsys, tmp_path):
     (["spectrum", "--sample", "bar"], ("gaas_piezo", {"20 nm": "1e-22 cm"}),
      "g = 0 cm^-1 is not finite and positive: the sample is too large, or too far "
      "from a cube, for the floats in [sample:bar]"),
-], ids=["kappa-no-table-g", "delta-overflow", "kappa-overflow", "sliver-sample"])
+    # u/d overflows at delta = 0: delta printed f* = inf Hz
+    (["delta"], ("gaas_piezo", FSTAR_OVERFLOW), "material 'gaas': f* = u/d is out of "
+     "floating-point range"),
+    # hbar*D*Omega overflows: kappa and report printed fmax = 0 Hz, and
+    # spectrum refused naming the frequency
+    *((argv, ("gaas_piezo", HBAR_D_OMEGA_OVERFLOW),
+       "material 'gaas': hbar D Omega is out of floating-point range in [sample:bar]")
+      for argv in (["kappa", "--sample", "bar"], ["report"], ["spectrum", "--sample", "bar"])),
+], ids=["kappa-no-table-g", "delta-overflow", "kappa-overflow", "sliver-sample",
+        "delta-fstar-overflow", "kappa-hbar-d-omega-overflow", "report-hbar-d-omega-overflow",
+        "spectrum-hbar-d-omega-overflow"])
 def test_cli_refuses_a_catalog_choice_in_one_error_line(argv, edits, message, capsys, tmp_path):
     # delta raised (f*)^delta by hand and ended in an OverflowError traceback;
     # the sliver, whose closed-form g cancels to 0, ended in "kappa = 0"
@@ -419,6 +436,17 @@ def test_cli_delta_out_of_float_range_is_one_error_line(argv, old, new, capsys, 
     assert "out of floating-point range" in captured.err
     assert (argv == ["delta"]) != captured.err.endswith("in [sample:bar]\n")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_cli_kappa_of_an_overflowing_f_star_at_delta_0_answers(capsys, tmp_path):
+    # (f*)^0 is 1 for any f*, so kappa needs no f* and keeps its answer
+    text = bundled_config_text("gaas_piezo")
+    for old, new in FSTAR_OVERFLOW.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "gaas_piezo.cfg"
+    cfg.write_text(text)
+    assert cli.main(["kappa", "--sample", "bar", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "kappa = 4.57068e-11  gamma = 1  fmax = 12089.9 Hz\n"
 
 
 SWEEP_CALLS = [["kappa", "--sample", "bar"], ["kappa", "--sample", "bar", "--mode", "transverse"],
