@@ -189,12 +189,11 @@ _GAUSS_8 = ((0.18343464249564978, 0.36268378337836166),
             (0.9602898564975362, 0.10122853629037706))
 _ETA = 2.5          # admissibility: column used when dist >= eta * its (x, y) half-diagonal
 _SIZE_FLOOR = 3e-4  # singular columns' (x, y) half-diagonal, relative to the sample box's diagonal
-_GAUSS_BATCH = 128  # admissible columns per Gauss call: 128 * 8^2 doubles per array
 
 
 def _gauss_columns(cells: list, z_lo: float, z_hi: float) -> float:
     # tensor-product Gauss-Legendre in (x, y) of the exact z integral of 1/|r|
-    # over a batch of admissible columns (x_lo, y_lo, x_hi, y_hi), summed
+    # over a walk's admissible columns (x_lo, y_lo, x_hi, y_hi), summed
     import numpy as np
 
     nodes, weights = _gauss_rule()
@@ -235,8 +234,8 @@ def _column_corner_integral(u: Point, v: Point, floor_h: float) -> float:
     Columns span the shortest axis, z, exactly; their (x, y) cells are walked
     as plain floats: a cell whose lower corner (x_lo, y_lo, z_lo) lies _ETA
     (x, y) half-diagonals from the origin or farther takes the Gauss rule, in
-    batches of _GAUSS_BATCH after the walk; any other is bisected across its
-    longer side down to a half-diagonal of floor_h and takes the corner primitive.
+    one call after the walk; any other is bisected across its longer side down
+    to a half-diagonal of floor_h and takes the corner primitive.
     """
     x, y, z = sorted(range(3), key=lambda i: u[i] - v[i])  # z is the shortest side
     z_lo, z_hi = u[z], v[z]
@@ -255,8 +254,8 @@ def _column_corner_integral(u: Point, v: Point, floor_h: float) -> float:
         else:
             mid = 0.5 * (y_lo + y_hi)
             cells += (x_lo, y_lo, x_hi, mid), (x_lo, mid, x_hi, y_hi)
-    for start in range(0, len(far), _GAUSS_BATCH):
-        total += _gauss_columns(far[start:start + _GAUSS_BATCH], z_lo, z_hi)
+    if far:
+        total += _gauss_columns(far, z_lo, z_hi)
     return total
 
 

@@ -49,15 +49,17 @@ class Material(Record):
     """Material parameters entering kappa, delta, f* and the validity bound.
 
     Mass density rho0, sound velocity u, lattice constant d, density of
-    states dos and, when known, the piezoelectric constant h14 or the angular
-    mean coupling m2_lambda: each a Quantity of its unit in UNITS, a CGS base
-    unit, else a NoiseFloorError.  acoustic_match is "matched" or "reflecting".
+    states dos and, when known (the OPTIONAL fields), the piezoelectric
+    constant h14 or the angular mean coupling m2_lambda: each a Quantity of
+    its unit in UNITS, a CGS base unit, else a NoiseFloorError.
+    acoustic_match is "matched" or "reflecting".
     """
 
     __slots__ = ("name", "carriers", "rho0", "u", "d", "dos", "h14", "m2_lambda",
                  "acoustic_match")
     UNITS = {"rho0": "g/cm^3", "u": "cm/s", "d": "cm", "dos": "1/(erg*cm^3)",
              "h14": "statvolt/cm", "m2_lambda": "erg^2/cm^2"}
+    OPTIONAL = ("h14", "m2_lambda")
 
     def __init__(self, name: str, carriers: tuple[CarrierSpecies, ...], rho0: Quantity,
                  u: Quantity, d: Quantity, dos: Quantity, h14: Optional[Quantity] = None,
@@ -66,8 +68,8 @@ class Material(Record):
             raise NoiseFloorError(f"material '{name}': needs at least one carrier species")
         given = locals()
         for field, unit in self.UNITS.items():
-            q, optional = given[field], field in ("h14", "m2_lambda")
-            if q is None and optional:
+            q = given[field]
+            if q is None and field in self.OPTIONAL:
                 continue
             if getattr(q, "dim", None) != parse_unit(unit).dim:
                 raise NoiseFloorError(f"material '{name}': {field} must be a Quantity in "

@@ -16,7 +16,7 @@ from typing import Optional
 from . import geometry, noise_floor
 from .geometry import ProbePair, SampleGeometry
 from .noise_floor import CarrierSpecies, Material
-from .units import (DimensionError, InputError, Quantity, Record, UnitsError, parse_quantity,
+from .units import (DimensionError, InputError, Record, UnitsError, parse_quantity,
                     quantity)
 
 
@@ -93,130 +93,116 @@ class Report(Record):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _get_quantity(section: str, parser: configparser.ConfigParser, key: str,
-                  unit: str, positive: bool = True) -> Quantity:
-    raw = parser.get(section, key, fallback=None)
+def _number(section: str, fields: dict, key: str, unit: str = "", positive: bool = False,
+            required: bool = False) -> Optional[float]:
+    """Pop key from a section's fields and read it as <number> [unit]: its
+    magnitude in unit (dimensionless by default), or None when it is absent
+    and not required.  A value that does not parse, is not of unit's dimension
+    or, with positive, is not positive is a ConfigError naming section and key."""
+    raw = fields.pop(key, None)
     if raw is None:
-        raise ConfigError(f"[{section}] missing required field '{key}'")
+        if required:
+            raise ConfigError(f"[{section}] missing required field '{key}'")
+        return None
     try:
-        q = parse_quantity(raw)
-        value = q.to(unit)
+        value = parse_quantity(raw).to(unit)
     except (UnitsError, DimensionError) as err:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
     if positive and not value > 0:
         raise ConfigError(f"[{section}] {key} = {raw!r}: must be positive")
-    return q
+    return value
 
 
-def _get_float(section: str, parser, key: str, positive: bool = False) -> Optional[float]:
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return None
-    try:
-        v = float(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not a number") from err
-    if not math.isfinite(v):
-        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
-    if positive and not v > 0:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: must be positive")
-    return v
-
-
-def _parse_material(section: str, parser: configparser.ConfigParser) -> Material:
-    name = section.split(":", 1)[1]
-    raw_carriers = parser.get(section, "carriers", fallback=None)
+def _parse_material(section: str, fields: dict) -> Material:
+    raw_carriers = fields.pop("carriers", None)
     if raw_carriers is None:
         raise ConfigError(f"[{section}] missing required field 'carriers'")
     carriers = []
-    for item in raw_carriers.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, raw_carriers.split(","))):
         label, _, mass = item.partition(":")
-        try:
-            carriers.append(CarrierSpecies(label=label.strip(), mass_m0=float(mass)))
-        except (ValueError, noise_floor.NoiseFloorError) as err:
+        try:  # a mass in m0 is a dimensionless number
+            carriers.append(CarrierSpecies(label.strip(), parse_quantity(mass).to("")))
+        except (UnitsError, DimensionError, noise_floor.NoiseFloorError) as err:
             raise ConfigError(f"[{section}] carriers entry {item!r}: {err}") from err
-    if not carriers:
-        raise ConfigError(f"[{section}] 'carriers' must list at least one species")
-    optional = ("h14", "m2_lambda")
-    fields = {key: _get_quantity(section, parser, key, unit, positive=key != "h14")
-              for key, unit in Material.UNITS.items()
-              if key not in optional or parser.has_option(section, key)}
-    if "h14" in fields:  # only the magnitude enters (e*h14)^2
-        fields["h14"] = Quantity(abs(fields["h14"].value), fields["h14"].dim)
-    match = parser.get(section, "acoustic_match", fallback="matched").strip()
+    quantities = {}
+    for key, unit in Material.UNITS.items():
+        value = _number(section, fields, key, unit, required=key not in Material.OPTIONAL)
+        if value is not None:  # the units are CGS base units: the same bits come back
+            quantities[key] = quantity(value, unit)
+    match = fields.pop("acoustic_match", "matched").strip()
     try:
-        return Material(name=name, carriers=tuple(carriers), acoustic_match=match, **fields)
+        return Material(name=section.split(":", 1)[1], carriers=tuple(carriers),
+                        acoustic_match=match, **quantities)
     except noise_floor.NoiseFloorError as err:
         raise ConfigError(f"[{section}]: {err}") from err
 
 
-def _parse_sample(section: str, parser: configparser.ConfigParser,
-                  materials: dict[str, Material]) -> CatalogEntry:
-    sample_id = section.split(":", 1)[1]
-    mat_name = parser.get(section, "material", fallback=None)
+def _parse_sample(section: str, fields: dict, materials: dict[str, Material]) -> CatalogEntry:
+    mat_name = fields.pop("material", None)
     if mat_name is None:
         raise ConfigError(f"[{section}] missing required field 'material'")
     mat_name = mat_name.strip()
     if mat_name not in materials:
         raise ConfigError(f"[{section}] references unknown material '{mat_name}'")
     try:
-        geom = SampleGeometry(
-            l=_get_quantity(section, parser, "length", "cm").to("cm"),
-            w=_get_quantity(section, parser, "width", "cm").to("cm"),
-            a=_get_quantity(section, parser, "thickness", "cm").to("cm"),
-        )
+        geom = SampleGeometry(*(_number(section, fields, key, "cm", positive=True, required=True)
+                                for key in ("length", "width", "thickness")))
     except geometry.GeometryError as err:
         raise ConfigError(f"[{section}]: {err}") from err
-
-    def g_field(key: str) -> Optional[float]:
-        if parser.get(section, key, fallback="computed").strip() == "computed":
-            return None
-        # cm^-1 is a CGS base unit, so the base value is g in cm^-1
-        return _get_quantity(section, parser, key, "cm^-1").value
-
-    kappa_exp = _get_float(section, parser, "kappa_exp", positive=True)
-    kappa_exp_tr = _get_float(section, parser, "kappa_exp_transverse", positive=True)
-    delta_override = _get_float(section, parser, "delta")
-    if delta_override is not None and delta_override < 0:
+    for key in ("g", "g_transverse"):  # "computed" reads as absent
+        if fields.get(key, "").strip() == "computed":
+            del fields[key]
+    g, g_tr = (_number(section, fields, key, "cm^-1", positive=True)
+               for key in ("g", "g_transverse"))
+    kappa_exp, kappa_exp_tr = (_number(section, fields, key, positive=True)
+                               for key in ("kappa_exp", "kappa_exp_transverse"))
+    delta = _number(section, fields, "delta")
+    if delta is not None and delta < 0:
         raise ConfigError(f"[{section}] delta must be >= 0")
     return CatalogEntry(
-        sample_id=sample_id,
+        sample_id=section.split(":", 1)[1],
         geom=geom,
         probes_longitudinal=geometry.longitudinal_probes(geom),
         probes_transverse=geometry.transverse_probes(geom),
         material=materials[mat_name],
-        g_override=g_field("g"),
-        g_tr_override=g_field("g_transverse"),
+        g_override=g,
+        g_tr_override=g_tr,
         kappa_exp=kappa_exp,
         kappa_exp_transverse=kappa_exp_tr,
-        gamma_exp=_get_float(section, parser, "gamma_exp", positive=True),
-        delta_override=delta_override,
-        annotation=parser.get(section, "annotation", fallback="").strip(),
+        gamma_exp=_number(section, fields, "gamma_exp", positive=True),
+        delta_override=delta,
+        annotation=fields.pop("annotation", "").strip(),
     )
 
 
 def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Material]]:
-    """Parse a catalog config into validated entries (SI converted to CGS)."""
+    """Parse a catalog config into validated entries (SI converted to CGS).
+
+    The materials are read first, then the samples, each in file order; a
+    field that no parser reads is a ConfigError, as is a [DEFAULT] field.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
         parser.read_string(config_text)
     except configparser.Error as err:
         raise ConfigError(f"config parse failure: {err}") from err
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]; "
+                          "expected material: or sample:")
     materials: dict[str, Material] = {}
-    for section in parser.sections():
-        if section.startswith("material:"):
-            mat = _parse_material(section, parser)
-            materials[mat.name] = mat
     entries = []
-    for section in parser.sections():
-        if section.startswith("sample:"):
-            entries.append(_parse_sample(section, parser, materials))
-        elif not section.startswith("material:"):
+    for section in sorted(parser.sections(), key=lambda s: not s.startswith("material:")):
+        fields = dict(parser.items(section))
+        if section.startswith("material:"):
+            mat = _parse_material(section, fields)
+            materials[mat.name] = mat
+        elif section.startswith("sample:"):
+            entries.append(_parse_sample(section, fields, materials))
+        else:
             raise ConfigError(f"unknown section [{section}]; expected material: or sample:")
+        if fields:
+            raise ConfigError(f"[{section}] unknown field '{next(iter(fields))}'")
     return entries, materials
 
 
@@ -229,10 +215,6 @@ def bundled_config_text(name: str) -> str:
 # ---------------------------------------------------------------------------
 # table reproduction
 # ---------------------------------------------------------------------------
-
-_REPORT_COLUMNS = ["sample", "g_cm^-1", "g_tr_cm^-1", "kappa_th", "kappa_exp",
-                   "ratio_exp_th", "gamma", "fmax_Hz", "annotations"]
-
 
 def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
                      g_source: str = "computed") -> Report:
@@ -249,6 +231,10 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
         g_long, g_tr = (entry.g(m, g_source) or entry.g(m) for m in ("longitudinal", "transverse"))
         model = entry.model(mode, g=g_long if longitudinal else g_tr)
         kappa_exp = entry.kappa_exp if longitudinal else entry.kappa_exp_transverse
+        ratio = None if kappa_exp is None else kappa_exp / model.kappa
+        if ratio == math.inf:
+            raise ConfigError(f"kappa_exp / kappa_th = {kappa_exp:g} / {model.kappa:g} "
+                              f"overflows in [sample:{entry.sample_id}]")
         annotations = ([entry.annotation] if entry.annotation else []) + list(model.caveats)
         rows.append({
             "sample": entry.sample_id,
@@ -256,12 +242,12 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
             "g_tr_cm^-1": g_tr.value.to("cm^-1"),
             "kappa_th": model.kappa,
             "kappa_exp": kappa_exp,
-            "ratio_exp_th": (kappa_exp / model.kappa) if kappa_exp is not None else None,
+            "ratio_exp_th": ratio,
             "gamma": model.gamma,
             "fmax_Hz": model.fmax.to("Hz"),
             "annotations": "; ".join(annotations),
         })
-    return Report(columns=list(_REPORT_COLUMNS), rows=rows)
+    return Report(columns=list(rows[0]), rows=rows)  # each row's keys, in column order
 
 
 # ---------------------------------------------------------------------------

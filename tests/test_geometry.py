@@ -301,8 +301,9 @@ def two_integral_factor(geom, probes, factor, method="closed_form"):
 
 
 def test_catalog_pairs_are_mirror_images_with_bit_equal_halves():
-    # every catalog pair takes the one-integral path, and there the closed
-    # form's two halves are bit-equal, so doubling one is the old two-call sum
+    # each catalog probe is the other's mirror image, so both split the box
+    # into the same corner boxes and their closed-form integrals are
+    # bit-equal; g, the two per-probe sums from one memo, is the two-call sum
     pairs = list(catalog_pairs())
     assert len(pairs) == 2 * len(CLOSED_FORM_G)
     for label, geom, probes, factor in pairs:
@@ -332,8 +333,8 @@ def test_quadrature_mirror_pairs_within_1e_14():
             closed = factor(geom, probes(geom)).value.to("cm^-1")
             quad = factor(geom, probes(geom), method="quadrature").value.to("cm^-1")
             assert quad == pytest.approx(closed, rel=1e-14, abs=0)
-    # on the thin catalog boxes, doubling one quadrature integral stays within
-    # 1e-14 of integrating at both probes
+    # on the thin catalog boxes, g from the shared corner-box memo stays
+    # within 1e-14 of two separate quadrature calls, one per probe
     for label, geom, probes, factor in catalog_pairs():
         quad = factor(geom, probes, method="quadrature").value.to("cm^-1")
         assert quad == pytest.approx(two_integral_factor(geom, probes, factor, "quadrature"),
@@ -400,8 +401,9 @@ def column_runs(monkeypatch):
 
 
 def test_catalog_pair_takes_one_column_walk(column_runs):
-    # a mirror pair takes one integral, and a probe at the centre of a face
-    # splits the box into four bit-equal quarters
+    # a mirror pair's second probe finds its corner boxes in the memo, and a
+    # probe at the centre of a face splits the box into four equal quarters
+    # that reflect to one corner box: one walk in all
     for label, geom, probes, factor in catalog_pairs():
         column_runs.clear()
         factor(geom, probes, method="quadrature")
@@ -527,7 +529,8 @@ def test_quadrature_matches_closed_form_beyond_faces_edges_and_corners(column_ru
 
 
 def test_quadrature_factor_peak_memory_under_1_mb():
-    # the Gauss sweep works in fixed batches of columns, so its arrays stay small
+    # the Gauss sweep takes a walk's admissible columns in one call, whose
+    # arrays hold 8^2 doubles a column
     entries, _ = load_catalog(bundled_config_text("ybco"))
     entry = next(e for e in entries if e.sample_id == "bulk-B")
     geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")  # warm up

@@ -126,6 +126,96 @@ def test_si_inputs_converted_to_cgs():
     assert materials["demo"].rho0.to("g/cm^3") == pytest.approx(5.3)
 
 
+def test_h14_keeps_its_sign_and_changes_no_bit_of_delta():
+    # h14 enters only as (e*h14)^2
+    _, materials = load_catalog(bundled_config_text("gaas_piezo"))
+    gaas = materials["gaas"]
+    assert gaas.h14.to("V/m") == pytest.approx(-1.4e9)
+    flipped = gaas.h14 * -1.0
+    assert noise_floor.phonon_delta(gaas) == noise_floor.phonon_delta(
+        noise_floor.Material(gaas.name, gaas.carriers, gaas.rho0, gaas.u, gaas.d, gaas.dos,
+                             h14=flipped))
+
+
+EVERY_NUMBER_CFG = """
+[material:demo]
+carriers = n:0.06
+rho0 = 5.3 g/cm^3
+u = 2.5e5 cm/s
+d = 5e-8 cm
+dos = 1e22 1/(eV*cm^3)
+h14 = -1.4e9 V/m
+m2_lambda = 1e-30 erg^2/cm^2
+
+[sample:S]
+material = demo
+length = 2 um
+width = 1 um
+thickness = 10 nm
+g = 9630 cm^-1
+g_transverse = 1990 cm^-1
+kappa_exp = 1.75e-9
+kappa_exp_transverse = 2.4e-10
+gamma_exp = 1.06
+delta = 0.06
+"""
+EVERY_NUMBER = [(section, line.split(" = ")[0], line) for section, body in
+                re.findall(r"\[(.*)\]\n((?:.+\n)+)", EVERY_NUMBER_CFG)
+                for line in body.splitlines() if not line.startswith("material =")]
+
+
+def test_every_number_config_answers(capsys, tmp_path):
+    assert len(EVERY_NUMBER) == 7 + 9
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(EVERY_NUMBER_CFG)
+    assert cli.main(["report", "--config", str(cfg), "--g-source", "table"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "many", "1 s"])
+@pytest.mark.parametrize("section, key, line", EVERY_NUMBER, ids=[k for _, k, _ in EVERY_NUMBER])
+def test_cli_refuses_a_bad_catalog_number_naming_section_and_key(section, key, line, bad,
+                                                                 capsys, tmp_path):
+    # each catalog number is read as <number> [unit]; a mass is in m0
+    value = f"n:{bad}" if key == "carriers" else bad
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(EVERY_NUMBER_CFG.replace(line, f"{key} = {value}"))
+    assert cli.main(["report", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [{section}] {key} ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, edits, message", [
+    # delta printed 0.14593 for the intended reflecting boundary's 0
+    (["delta"], {"acoustic_match = matched": "acoustic_macth = reflecting"},
+     "[material:gaas] unknown field 'acoustic_macth'"),
+    # report printed an empty kappa_exp and the computed g_tr
+    (["report", "--g-source", "table"], {"20 nm": "20 nm\nkapa_exp = 1e-9"},
+     "[sample:bar] unknown field 'kapa_exp'"),
+    (["report", "--g-source", "table", "--mode", "transverse"],
+     {"20 nm": "20 nm\ng_tranverse = 3 cm^-1"}, "[sample:bar] unknown field 'g_tranverse'"),
+    # a [DEFAULT] field went into every section: delta printed 0, and bar had a kappa_exp
+    (["delta"], {"[material:gaas]": "[DEFAULT]\nacoustic_match = reflecting\n[material:gaas]"},
+     "unknown section [DEFAULT]"),
+    (["report"], {"[material:gaas]": "[DEFAULT]\nkappa_exp = 1e-9\n[material:gaas]"},
+     "unknown section [DEFAULT]"),
+], ids=["acoustic_macth", "kapa_exp", "g_tranverse", "default-match", "default-kappa_exp"])
+def test_cli_refuses_a_field_no_parser_reads(argv, edits, message, capsys, tmp_path):
+    text = bundled_config_text("gaas_piezo")
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = tmp_path / "gaas_piezo.cfg"
+    cfg.write_text(text)
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}" + (
+        "; expected material: or sample:\n" if "DEFAULT" in message else "\n")
+
+
 # ---------------------------------------------------------------------------
 # reproduce_tables
 # ---------------------------------------------------------------------------
@@ -397,9 +487,12 @@ HBAR_D_OMEGA_OVERFLOW = {"dos = 1e22 1/(eV*cm^3)": "dos = 1e296 1/(eV*cm^3)",
     *((argv, ("gaas_piezo", HBAR_D_OMEGA_OVERFLOW),
        "material 'gaas': hbar D Omega is out of floating-point range in [sample:bar]")
       for argv in (["kappa", "--sample", "bar"], ["report"], ["spectrum", "--sample", "bar"])),
+    # kappa_exp / kappa_th overflowed: report printed ratio_exp_th = inf
+    (["report"], ("gaas_piezo", {"20 nm": "20 nm\nkappa_exp = 1e307"}),
+     "kappa_exp / kappa_th = 1e+307 / 3.25945e-09 overflows in [sample:bar]"),
 ], ids=["kappa-no-table-g", "delta-overflow", "kappa-overflow", "sliver-sample",
         "delta-fstar-overflow", "kappa-hbar-d-omega-overflow", "report-hbar-d-omega-overflow",
-        "spectrum-hbar-d-omega-overflow"])
+        "spectrum-hbar-d-omega-overflow", "report-ratio-overflow"])
 def test_cli_refuses_a_catalog_choice_in_one_error_line(argv, edits, message, capsys, tmp_path):
     # delta raised (f*)^delta by hand and ended in an OverflowError traceback;
     # the sliver, whose closed-form g cancels to 0, ended in "kappa = 0"
@@ -450,13 +543,18 @@ def test_cli_kappa_of_an_overflowing_f_star_at_delta_0_answers(capsys, tmp_path)
 
 
 SWEEP_CALLS = [["kappa", "--sample", "bar"], ["kappa", "--sample", "bar", "--mode", "transverse"],
-               ["report"], ["spectrum", "--sample", "bar", "--points", "5"], ["delta"],
+               ["report"], ["report", "--g-source", "table", "--mode", "transverse"],
+               ["spectrum", "--sample", "bar", "--points", "5"], ["delta"],
                ["factor", "--sample", "bar"], ["factor", "--sample", "bar", "--method", "quadrature"]]
+# (the bundled line's value, or None for a sample field that bar leaves out; the swept value)
 SWEEP_FIELDS = {"carriers": ("n:0.06, p:0.09", "n:{}"), "rho0": ("5.3 g/cm^3", "{} g/cm^3"),
                 "u": ("2.5e5 cm/s", "{} cm/s"), "d": ("5e-8 cm", "{} cm"),
                 "dos": ("1e22 1/(eV*cm^3)", "{} 1/(eV*cm^3)"), "h14": ("-1.4e9 V/m", "{} V/m"),
                 "length": ("20 um", "{} cm"), "width": ("5 um", "{} cm"),
-                "thickness": ("20 nm", "{} cm")}
+                "thickness": ("20 nm", "{} cm"), "g": (None, "{} cm^-1"),
+                "g_transverse": (None, "{} cm^-1"), "kappa_exp": (None, "{}"),
+                "kappa_exp_transverse": (None, "{}"), "gamma_exp": (None, "{}"),
+                "delta": (None, "{}")}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -469,11 +567,11 @@ def test_cli_answers_or_refuses_each_catalog_number_in_one_line(field, value, ca
     # and a dos of 1e-300 1/(eV*cm^3) hbar*D*Omega, to 0: ZeroDivisionError
     # tracebacks; a dos of 1e-290 printed fmax = inf Hz with exit 0
     old, new = SWEEP_FIELDS[field]
-    line = f"{field} = {old}"
-    text = bundled_config_text("gaas_piezo")
-    assert line in text
+    line, text = f"{field} = {old}", bundled_config_text("gaas_piezo")
+    assert (line in text) == (old is not None) and text.endswith("thickness = 20 nm\n")
+    swept = f"{field} = {new.format(value)}"
     cfg = tmp_path / "gaas_piezo.cfg"
-    cfg.write_text(text.replace(line, f"{field} = {new.format(value)}"))
+    cfg.write_text(text + swept + "\n" if old is None else text.replace(line, swept))
     for argv in SWEEP_CALLS:
         code = cli.main([*argv, "--config", str(cfg)])
         captured = capsys.readouterr()
@@ -617,9 +715,9 @@ def test_cli_verify_wk(capsys):
 
 
 @pytest.mark.parametrize("edits, name", [
-    ({"delta = 0.06": "delta = nan"}, "[sample:bulk-B] delta = 'nan': must be finite"),
+    ({"delta = 0.06": "delta = nan"}, "[sample:bulk-B] delta = 'nan': non-finite value in 'nan'"),
     ({"delta = 0.06": "delta = inf", "kappa_exp = 3e-14": "kappa_exp = inf"},
-     "[sample:bulk-B] kappa_exp = 'inf': must be finite"),
+     "[sample:bulk-B] kappa_exp = 'inf': non-finite value in 'inf'"),
     ({"carriers = p:3.0": "carriers = p:inf"}, "[material:ybco] carriers entry 'p:inf'"),
     ({"carriers = p:3.0": "carriers = p:1e308", "width = 0.2 cm": "width = 100 cm",
       "length = 0.2 cm": "length = 100 cm", "thickness = 0.01 cm": "thickness = 100 cm"},
