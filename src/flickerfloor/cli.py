@@ -153,7 +153,8 @@ def cmd_delta(args) -> int:
     _, materials = _load_catalog(args)
     if args.material:
         if args.material not in materials:
-            raise ConfigError(f"unknown material '{args.material}'")
+            raise ConfigError(f"unknown material '{args.material}' "
+                              f"(catalog has: {', '.join(materials)})")
         mat = materials[args.material]
     elif materials:
         mat = next(iter(materials.values()))

@@ -306,6 +306,15 @@ def _sine_integral(x: float) -> float:
     return x * acc
 
 
+def _period(omega: float, t_m: float) -> float:
+    """2 pi/|omega|, once (omega, t_m) passes the Fourier kernels' one argument rule."""
+    period = 2.0 * math.pi / abs(omega) if math.isfinite(omega) and omega != 0 else math.nan
+    if not (t_m > 0 and math.isfinite(period + t_m / period)):
+        raise SpectralError(f"omega={omega:g} rad/s, t_m={t_m:g} s: need a finite omega != 0 and "
+                            "a finite t_m > 0 whose 2 pi/|omega| and omega*t_m do not overflow")
+    return period
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m: float,
                        head: Sequence[float] = (0.0,)) -> np.ndarray:
@@ -330,11 +339,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
     g ends with nan sums.  Panels are counted before each batch is
     evaluated; past _MAX_PANELS the call is a SpectralError naming omega and t_m.
     """
-    w = abs(omega)
-    period = 2.0 * math.pi / w
-    if not math.isfinite(period + t_m / period):
-        raise SpectralError(f"2 pi/omega or omega*t_m overflows at omega={omega:g} rad/s, "
-                            f"t_m={t_m:g} s")
+    w, period = abs(omega), _period(omega, t_m)
     n = math.floor(t_m / period)
     # w P = p + e; p - 2 pi's head, and t_m - nP below, are exact (Sterbenz)
     p, e = _two_product(w, period)
@@ -352,20 +357,14 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
                 "smooth on the scale of several periods")
 
     def gauss(k, lo=0.0, hi=period):
-        """Add the Gauss panels [kP + lo, kP + hi] to total and their max |g|
-        to scale; scalar lo and hi share one weight table, columns do not."""
+        """Add the Gauss panels [kP + lo, kP + hi] to total and their max |g| to scale."""
         nonlocal total, scale
         spend(k.size)
         half = 0.5 * (hi - lo)
         nodes = lo + half * (1.0 + gauss_nodes)  # (nodes,) or (k.size, nodes)
         weights = half * gauss_weights * np.exp(1j * w * nodes)
         values = g((k[:, None] * period + nodes).ravel()).reshape(-1, k.size, _NODES_PER_PANEL)
-        if weights.ndim == 1:
-            # one table: a BLAS product, taken as two real ones, since a
-            # complex one keeps about 0.25 MB more resident in the process
-            sums = values @ weights.real + 1j * (values @ weights.imag)
-        else:
-            sums = np.einsum("rpn,pn->rp", values, weights)
+        sums = np.einsum("rpn,pn->rp", values, np.broadcast_to(weights, values.shape[1:]))
         total = total + (sums * np.exp(1j * drift * k)).sum(axis=1)
         scale = np.maximum(scale, np.abs(values).max(axis=(1, 2)))
 
@@ -409,8 +408,8 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
             stack += [(begin, span // 2), (begin + span // 2, span - span // 2)]
         rest = ~done & ~split
         if rest.any():
-            gauss(np.concatenate([np.arange(begin, begin + span)
-                                  for begin, span in zip(start[rest], count[rest])]))
+            spans = count[rest].astype(int)  # a Gauss panel at each k = begin ... begin + span - 1
+            gauss(np.arange(spans.sum()) + np.repeat(start[rest] - spans.cumsum() + spans, spans))
     return total if omega > 0 else total.conj()
 
 
@@ -421,15 +420,13 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
     percent scale.  For even covariances the imaginary part cancels; it is
     asserted to be < 1e-9 of the real part.
     """
-    if not (math.isfinite(f) and f != 0):
-        raise SpectralError(f"Sigma(f) is defined only at a finite f != 0, got {f}")
-    if not math.isfinite(t_m):
-        raise SpectralError(f"t_m must be finite, got {t_m}")
+    if f == 0:  # the kernels' gate, _period, refuses a non-finite omega = 2 pi f or t_m
+        raise SpectralError(f"Sigma(f) needs a finite f != 0, got f=0 Hz, t_m={t_m:g} s")
     omega = 2.0 * math.pi * f
     t_min = 100.0 / abs(omega)
     if t_m < t_min:
         raise SpectralError(
-            f"t_m={t_m:g} s too small for f={f:g} Hz; need t_m >= {t_min:g} s")
+            f"t_m={t_m:g} s too small for f={f:g} Hz; need a finite t_m >= {t_min:g} s")
     # resolve the covariance scale before the first oscillation boundary;
     # a start that underflows to 0 would never grow
     head, edge = [0.0], cov.tau0 * 1e-4
@@ -452,8 +449,8 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
             "is not finite, or overflows, on [-t_m, t_m]")
     if abs(result.imag) >= 1e-9 * max(abs(result.real), 1e-300):
         raise SpectralError(
-            f"imaginary part {result.imag:g} not negligible against {result.real:g}; "
-            "covariance is not even")
+            f"Sigma(f) at f={f:g} Hz, t_m={t_m:g} s has an imaginary part {result.imag:g} not "
+            f"negligible against {result.real:g}; the covariance is not even")
     return float(result.real)
 
 
@@ -464,11 +461,7 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
     their difference converges to -pi/|omega|.  The log singularity at tau=0
     is integrated with its exact antiderivative (via the sine integral).
     """
-    if not (math.isfinite(omega) and omega != 0 and math.isfinite(t_m) and t_m > 0):
-        raise SpectralError(
-            f"need a finite omega != 0 and a finite t_m > 0, got omega={omega}, t_m={t_m}")
-    w = abs(omega)  # both integrals are even in omega
-    period = 2.0 * math.pi / w
+    w, period = abs(omega), _period(omega, t_m)  # both integrals are even in omega
     b = min(period / 8.0, t_m / 2.0)
     # exact ln-weight panel: int_0^b ln(tau) cos(w tau) dtau, with w*b <= pi/4
     head = math.sin(w * b) * math.log(b) / w - _sine_integral(w * b) / w
@@ -494,9 +487,6 @@ def sign_function_transform(omega: float, t_m: float) -> complex:
 
     Closed form: 2i (1 - cos(w t_m)) / w.
     """
-    if not (math.isfinite(omega) and omega != 0 and math.isfinite(t_m) and t_m > 0):
-        raise SpectralError(
-            f"need a finite omega != 0 and a finite t_m > 0, got omega={omega}, t_m={t_m}")
     z = _fourier_integrals(lambda tau: np.ones((1, tau.size)), omega, t_m)
     return 2j * float(z[0].imag)
 

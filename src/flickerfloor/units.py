@@ -137,10 +137,10 @@ class Quantity(Record):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.dim / other.dim)
-        return Quantity(self.value / other, self.dim)
+    def __truediv__(self, other):  # by a Quantity only
+        if not isinstance(other, Quantity):
+            return NotImplemented
+        return Quantity(self.value / other.value, self.dim / other.dim)
 
     def __pow__(self, n: float) -> "Quantity":
         return Quantity(self.value ** float(n), self.dim ** n)

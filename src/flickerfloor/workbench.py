@@ -149,9 +149,6 @@ def _parse_sample(section: str, fields: dict, materials: dict[str, Material]) ->
                                 for key in ("length", "width", "thickness")))
     except geometry.GeometryError as err:
         raise ConfigError(f"[{section}]: {err}") from err
-    for key in ("g", "g_transverse"):  # "computed" reads as absent
-        if fields.get(key, "").strip() == "computed":
-            del fields[key]
     g, g_tr = (_number(section, fields, key, "cm^-1", positive=True)
                for key in ("g", "g_transverse"))
     kappa_exp, kappa_exp_tr = (_number(section, fields, key, positive=True)
@@ -186,7 +183,7 @@ def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Materi
     try:
         parser.read_string(config_text)
     except configparser.Error as err:
-        raise ConfigError(f"config parse failure: {err}") from err
+        raise ConfigError(f"config parse failure: {' '.join(str(err).split())}") from err
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}]; "
                           "expected material: or sample:")
@@ -194,13 +191,16 @@ def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Materi
     entries = []
     for section in sorted(parser.sections(), key=lambda s: not s.startswith("material:")):
         fields = dict(parser.items(section))
-        if section.startswith("material:"):
+        kind, colon, name = section.partition(":")
+        if not colon or kind not in ("material", "sample"):
+            raise ConfigError(f"unknown section [{section}]; expected material: or sample:")
+        if not name.strip():
+            raise ConfigError(f"[{section}] has an empty {kind} id")
+        if kind == "material":
             mat = _parse_material(section, fields)
             materials[mat.name] = mat
-        elif section.startswith("sample:"):
-            entries.append(_parse_sample(section, fields, materials))
         else:
-            raise ConfigError(f"unknown section [{section}]; expected material: or sample:")
+            entries.append(_parse_sample(section, fields, materials))
         if fields:
             raise ConfigError(f"[{section}] unknown field '{next(iter(fields))}'")
     return entries, materials

@@ -80,3 +80,11 @@ def test_numpy_scalars_take_quantity_arithmetic():
 def test_quantity_and_dimension_have_no_order(q):
     with pytest.raises(TypeError):
         q < q
+
+
+def test_quantity_divides_only_by_a_quantity():
+    # Quantity / <plain number> had no caller; a number scales by *
+    length = units.quantity(2.0, "cm")
+    assert length / units.quantity(4.0, "s") == units.quantity(0.5, "cm/s")
+    with pytest.raises(TypeError):
+        length / 2.0

@@ -351,18 +351,19 @@ def test_sign_function_transform_at_long_times(omega, t_m):
     assert abs(sign_function_transform(omega, t_m) - target) <= 1e-9 * abs(target)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
 @pytest.mark.parametrize("kernel", [
     lambda v: sigma_spectrum(CovarianceModel(kind="log-law"), v, 10.0),
     lambda v: wk_identity_check(v, 10.0),
     lambda v: sign_function_transform(v, 10.0),
 ], ids=["sigma_spectrum", "wk_identity_check", "sign_function_transform"])
 def test_kernels_reject_non_finite_frequency(kernel, value):
+    # wk_identity_check(0, 10) must not reach its 2 pi/|omega| as a ZeroDivisionError
     with pytest.raises(SpectralError, match="finite"):
         kernel(value)
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("kernel", [
     lambda v: sigma_spectrum(CovarianceModel(kind="log-law"), 0.01, v),
     lambda v: wk_identity_check(1.0, v),
@@ -379,7 +380,8 @@ def test_kernels_reject_non_finite_t_m(kernel, value):
 def test_kernels_reject_an_omega_whose_period_overflows(kernel):
     # 2 pi/omega is inf below omega = 3.5e-308: this was an OverflowError
     # traceback from the phase reduction, not an input error
-    with pytest.raises(SpectralError, match=r"^2 pi/omega or omega\*t_m overflows at omega=1e-308"):
+    with pytest.raises(SpectralError, match=r"^omega=1e-308 rad/s, t_m=10 s: .* 2 pi/\|omega\| "
+                                            r"and omega\*t_m do not overflow$"):
         kernel(1e-308, 10.0)
 
 
@@ -401,6 +403,23 @@ def test_kernels_reject_non_finite_results(kernel, args, names):
         kernel(*args)
     for name in names:
         assert name in str(err.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SignalRecord(samples=[1.0], dt=0.5), "a signal record needs at least 2 samples"),
+    (lambda: SignalRecord(samples=np.zeros((2, 2)), dt=0.5),
+     "a signal record needs at least 2 samples"),
+    (lambda: SignalRecord(samples=[0.0, math.nan], dt=0.5), "signal samples must be finite"),
+    (lambda: SignalRecord(samples=[0.0, 1.0], dt=0.0), "sampling step must be positive, got 0.0"),
+    (lambda: power_spectrum_estimate([], [0.1]), "ensemble must contain at least one record"),
+    # S(tau) = tau e^{-|tau|} is odd: Sigma(f) is imaginary
+    (lambda: sigma_spectrum(user_covariance(lambda tau: tau * np.exp(-np.abs(tau))), 1.0, 200.0),
+     r"Sigma\(f\) at f=1 Hz, t_m=200 s has an imaginary part .* the covariance is not even"),
+], ids=["one-sample", "two-dimensional", "nan-sample", "zero-dt", "empty-ensemble",
+        "odd-covariance"])
+def test_records_estimator_and_sigma_refuse_by_message(call, message):
+    with pytest.raises(SpectralError, match=f"^{message}$"):
+        call()
 
 
 def test_log_law_far_beyond_tau0_is_finite():

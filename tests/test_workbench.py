@@ -419,6 +419,9 @@ def test_cli_delta(capsys, tmp_path):
     assert cli.main(["delta", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "delta = 0.14" in out
+    # the catalog's one material, by name
+    assert cli.main(["delta", "--config", str(cfg), "--material", "gaas"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_report_csv(tmp_path):
@@ -490,9 +493,32 @@ HBAR_D_OMEGA_OVERFLOW = {"dos = 1e22 1/(eV*cm^3)": "dos = 1e296 1/(eV*cm^3)",
     # kappa_exp / kappa_th overflowed: report printed ratio_exp_th = inf
     (["report"], ("gaas_piezo", {"20 nm": "20 nm\nkappa_exp = 1e307"}),
      "kappa_exp / kappa_th = 1e+307 / 3.25945e-09 overflows in [sample:bar]"),
+    # an empty id: report printed a row with an empty sample cell, and delta
+    # answered for a material named ''
+    (["report"], ("gaas_piezo", {"[sample:bar]": "[sample:]"}), "[sample:] has an empty sample id"),
+    (["delta"], ("gaas_piezo", {"[material:gaas]": "[material:]", "material = gaas": "material ="}),
+     "[material:] has an empty material id"),
+    (["delta", "--material", "nope"], ("gaas_piezo", {}),
+     "unknown material 'nope' (catalog has: gaas)"),
+    # "computed" once read as an absent g
+    (["report"], ("gaas_piezo", {"20 nm": "20 nm\ng = computed"}),
+     "[sample:bar] g = 'computed': bad numeric value in 'computed'"),
+    (["delta"], ("gaas_piezo", {"acoustic_match = matched": "acoustic_match = sideways"}),
+     "[material:gaas]: material 'gaas': acoustic_match must be 'matched' or 'reflecting'"),
+    (["delta"], ("gaas_piezo", {"carriers = n:0.06, p:0.09\n": ""}),
+     "[material:gaas] missing required field 'carriers'"),
+    (["report"], ("gaas_piezo", {"material = gaas\n": ""}),
+     "[sample:bar] missing required field 'material'"),
+    (["report"], ("gaas_piezo", {"20 nm": "20 nm\ndelta = -0.1"}),
+     "[sample:bar] delta must be >= 0"),
+    # configparser's message spans three lines
+    (["report"], ("gaas_piezo", {"# GaAs": "junk line\n# GaAs"}),
+     "config parse failure: File contains no section headers. file: '<string>', line: 1"),
 ], ids=["kappa-no-table-g", "delta-overflow", "kappa-overflow", "sliver-sample",
         "delta-fstar-overflow", "kappa-hbar-d-omega-overflow", "report-hbar-d-omega-overflow",
-        "spectrum-hbar-d-omega-overflow", "report-ratio-overflow"])
+        "spectrum-hbar-d-omega-overflow", "report-ratio-overflow", "empty-sample-id",
+        "empty-material-id", "unknown-material", "g-computed", "acoustic-match-sideways",
+        "no-carriers", "no-material", "negative-delta", "unparsable"])
 def test_cli_refuses_a_catalog_choice_in_one_error_line(argv, edits, message, capsys, tmp_path):
     # delta raised (f*)^delta by hand and ended in an OverflowError traceback;
     # the sliver, whose closed-form g cancels to 0, ended in "kappa = 0"
@@ -714,6 +740,20 @@ def test_cli_verify_wk(capsys):
         assert line.endswith("," + row["status"])
 
 
+@pytest.mark.parametrize("kernel, value, cases", [
+    ("sign_function_transform", 0j, ["sign_kernel(omega=1, t_m=10)"]),
+    ("sigma_spectrum", 0.0, ["loglaw_sigma(f=0.001)", "loglaw_sigma(f=0.01)",
+                             "loglaw_sigma(f=0.01, a=1) vs exact", "exponential_sigma(f=0.05)"]),
+])
+def test_cli_verify_wk_failure_exits_2_with_one_line_per_failing_row(kernel, value, cases,
+                                                                     capsys, monkeypatch):
+    monkeypatch.setattr(spectral, kernel, lambda *args, **kwargs: value)
+    assert cli.main(["verify-wk"]) == 2
+    captured = capsys.readouterr()
+    assert all(f"{case},0," in captured.out for case in cases)
+    assert captured.err == "".join(f"FAIL: {case} rel_error=1\n" for case in cases)
+
+
 @pytest.mark.parametrize("edits, name", [
     ({"delta = 0.06": "delta = nan"}, "[sample:bulk-B] delta = 'nan': non-finite value in 'nan'"),
     ({"delta = 0.06": "delta = inf", "kappa_exp = 3e-14": "kappa_exp = inf"},
@@ -790,6 +830,7 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["spectrum", "--sample", "V1", "--points", "1000001"], "--points 1000001"),
     (["estimate", "--n", str(2 ** 27), "--records", "32"], "--n 134217728 --records 32"),
     (["estimate", "--n", "1000"], "--n 1000: must be a power of two"),
+    (["spectrum", "--sample", "V1", "--fmin", "10", "--fmax", "1"], "need 0 < fmin < fmax"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
