@@ -61,8 +61,8 @@ class SignalRecord(Record):
             raise SpectralError("a signal record needs at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise SpectralError("signal samples must be finite")
-        if not dt > 0:
-            raise SpectralError(f"sampling step must be positive, got {dt}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise SpectralError(f"sampling step must be finite and positive, got {dt}")
         self._fill(locals())
 
     @property
@@ -289,30 +289,32 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     return (*gauss_legendre(_GAUSS_24), np.cos(np.pi * j / m), to_coeffs, at_one, at_minus_one)
 
 
-# Maclaurin coefficients of Si(x)/x in powers of x^2: (-1)^k / ((2k+1) (2k+1)!)
-_SI_COEFFS = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(8))
-
-
-def _sine_integral(x: float) -> float:
-    """Si(x) = int_0^x sin(t)/t dt by its Maclaurin series.
-
-    Eight terms reach double precision for |x| <= pi/4, the only range used
-    here; the first omitted term is below 4e-18 relative.
-    """
-    x2 = x * x
-    acc = 0.0
-    for c in reversed(_SI_COEFFS):
-        acc = acc * x2 + c
-    return x * acc
-
-
 def _period(omega: float, t_m: float) -> float:
-    """2 pi/|omega|, once (omega, t_m) passes the Fourier kernels' one argument rule."""
+    """2 pi/|omega|, once (omega, t_m) passes the Fourier kernels' one argument rule.
+    Under 2^53 periods the period indices are exact floats; a subnormal t_m
+    would round the panels' half-widths away (to 0 at t_m = 1e-323 s)."""
     period = 2.0 * math.pi / abs(omega) if math.isfinite(omega) and omega != 0 else math.nan
-    if not (t_m > 0 and math.isfinite(period + t_m / period)):
+    if not (math.isfinite(period) and t_m >= 2.0 ** -1022 and t_m / period < 2.0 ** 53):
         raise SpectralError(f"omega={omega:g} rad/s, t_m={t_m:g} s: need a finite omega != 0 and "
-                            "a finite t_m > 0 whose 2 pi/|omega| and omega*t_m do not overflow")
+                            "a finite t_m of at least 2.2e-308 s and under 2^53 periods, "
+                            "where 2 pi/|omega| and omega*t_m do not overflow")
     return period
+
+
+def _log_head(s: int, w: float, b: float, t_m: float) -> complex:
+    """int_0^b (tau/t_m)^s ln(tau) e^{i w tau} dtau by its Maclaurin series,
+
+        sum_k (i w)^k b^m (ln b - 1/m) / (k! m t_m^s),   m = s + k + 1,
+
+    whose 24 terms reach double precision for w b <= pi/4.  Its first term
+    b (b/t_m)^s, b <= t_m/2, is a complex product: it overflows to inf, not
+    to an OverflowError, and does not underflow where b^(s+1) would."""
+    term, log_b, total = complex(b) * (b / t_m) ** s, math.log(b), 0j  # (i w)^k b^m/(k! t_m^s)
+    for k in range(24):
+        m = s + k + 1
+        total += term * (log_b - 1.0 / m) / m
+        term *= 1j * w * b / (k + 1)
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -420,13 +422,10 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
     percent scale.  For even covariances the imaginary part cancels; it is
     asserted to be < 1e-9 of the real part.
     """
-    if f == 0:  # the kernels' gate, _period, refuses a non-finite omega = 2 pi f or t_m
-        raise SpectralError(f"Sigma(f) needs a finite f != 0, got f=0 Hz, t_m={t_m:g} s")
     omega = 2.0 * math.pi * f
-    t_min = 100.0 / abs(omega)
-    if t_m < t_min:
-        raise SpectralError(
-            f"t_m={t_m:g} s too small for f={f:g} Hz; need a finite t_m >= {t_min:g} s")
+    _period(omega, t_m)  # the kernels' one argument rule, named in omega
+    if abs(omega) * t_m < 100.0:
+        raise SpectralError(f"t_m={t_m:g} s too small for f={f:g} Hz; need 2 pi |f| t_m >= 100")
     # resolve the covariance scale before the first oscillation boundary;
     # a start that underflows to 0 would never grow
     head, edge = [0.0], cov.tau0 * 1e-4
@@ -434,15 +433,15 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
         head.append(edge)
         edge *= 10.0
 
-    def integrand(tau):
+    def integrand(tau):  # the |tau| rows carry 1/t_m, so they do not underflow at a small t_m
         sp, sm = cov.evaluate(tau), cov.evaluate(-tau)
-        return np.stack([sp, sm, tau * sp, tau * sm])
+        return np.stack([sp, sm, tau / t_m * sp, tau / t_m * sm])
 
     # int_{-tm}^{tm} S(tau) e^{iw tau} dtau = int_0^tm S(tau) e^{iw tau} + conj(S(-tau) e^{iw tau})
     # combined as Python complex numbers, which turn an overflow into nan
     # without a warning, so that it reaches the check below
     zp, zm, tzp, tzm = map(complex, _fourier_integrals(integrand, omega, t_m, head))
-    result = zp + zm.conjugate() - (tzp + tzm.conjugate()) / t_m
+    result = zp + zm.conjugate() - (tzp + tzm.conjugate())
     if not (math.isfinite(result.real) and math.isfinite(result.imag)):
         raise SpectralError(
             f"Sigma(f) is not finite at f={f:g} Hz, t_m={t_m:g} s: the covariance "
@@ -458,23 +457,20 @@ def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:
     """Numerically verify the log-kernel integral identities.
 
     Both integrals diverge like log(t_m) with an oscillating coefficient, but
-    their difference converges to -pi/|omega|.  The log singularity at tau=0
-    is integrated with its exact antiderivative (via the sine integral).
+    their difference converges to -pi/|omega|.  The rows ln(tau) and
+    (tau/t_m) ln(tau), scaled so that the second does not underflow at a small
+    t_m, take [0, b], b = min(P/8, t_m/2), from the one head series _log_head,
+    exact at the ln(tau) singularity, and [b, t_m] from the panel quadrature.
     """
     w, period = abs(omega), _period(omega, t_m)  # both integrals are even in omega
     b = min(period / 8.0, t_m / 2.0)
-    # exact ln-weight panel: int_0^b ln(tau) cos(w tau) dtau, with w*b <= pi/4
-    head = math.sin(w * b) * math.log(b) / w - _sine_integral(w * b) / w
-    # |tau| ln|tau| is continuous at 0; log-refine its head panels instead.
-    # ln|tau| is integrated by quadrature only above b, an edge of both.
 
     def integrand(tau):
         log_tau = np.log(tau)
-        return np.stack([np.where(tau > b, log_tau, 0.0), tau * log_tau])
+        return np.stack([log_tau, tau / t_m * log_tau])
 
-    z = _fourier_integrals(integrand, w, t_m, [0.0, *(b * np.logspace(-8, 0, 9))])
-    lhs1 = 2.0 * (head + float(z[0].real))
-    lhs2 = 2.0 * float(z[1].real) / t_m
+    z = _fourier_integrals(integrand, w, t_m, (b,))
+    lhs1, lhs2 = (2.0 * (_log_head(s, w, b, t_m) + complex(z[s])).real for s in (0, 1))
     if not (math.isfinite(lhs1) and math.isfinite(lhs2)):
         raise SpectralError(
             f"the log-kernel integrals overflow at omega={omega:g} rad/s, t_m={t_m:g} s")

@@ -5,7 +5,7 @@
 catalogs, of a wide `spectrum` grid for every sample in both modes and of
 `spectrum` at 0, 1 and 2 points, and of three `estimate` runs: the defaults,
 one record (every stderr cell equal to S) and gamma 2 at a millisecond step
-over two records. A refactor that claims identical outputs must leave every
+over two records, and of `verify-wk`. A refactor that claims identical outputs must leave every
 one of them unchanged. After a deliberate change of output, regenerate the
 file with
 
@@ -57,6 +57,7 @@ def _cases():
                 table_g = entry.g_override if mode == "longitudinal" else entry.g_tr_override
                 if table_g is not None:
                     cases += [["kappa", *common, "--g-source", "table"]]
+    cases += [["verify-wk"]]
     return cases
 
 

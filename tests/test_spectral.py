@@ -15,7 +15,7 @@ from flickerfloor.spectral import (
     CovarianceModel,
     SignalRecord,
     SpectralError,
-    _sine_integral,
+    _log_head,
     power_spectrum_estimate,
     sigma_spectrum,
     sign_function_transform,
@@ -311,14 +311,18 @@ def test_wk_identity_against_closed_form(t_m):
     assert wk_identity_check(1.0, t_m).difference == pytest.approx(WK_DIFFERENCE[t_m], rel=1e-12)
 
 
-@pytest.mark.parametrize("x, si", [
-    # Si(x) from a 60-digit mpmath evaluation, rounded to double
-    (1e-3, 0.0009999999444444462),
-    (0.5, 0.4931074180430667),
-    (math.pi / 4, 0.7589758810687827),
+@pytest.mark.parametrize("s, w, b, head", [
+    # int_0^b tau^s ln(tau) e^{i w tau} dtau from 60-digit mpmath (quad and an
+    # 80-term series agree), rounded to double
+    (0, 1.0, math.pi / 4, -0.9297877596263165 - 0.22105546499420287j),
+    (1, 1.0, math.pi / 4, -0.2059930895248047 - 0.08852564273421396j),
+    (0, 1.0, 1e-3, -0.007907754072134095 - 3.7038773412512754e-06j),
+    (1, 1.0, 1e-3, -3.7038767447717077e-06 - 2.413695967179989e-09j),
+    (0, 3.0, 0.2, -0.49896193775353764 - 0.12325741047039171j),
+    (1, 3.0, 0.2, -0.03890515065229625 - 0.015027498043881019j),
 ])
-def test_sine_integral_series(x, si):
-    assert _sine_integral(x) == pytest.approx(si, rel=4e-16, abs=0.0)
+def test_log_head_series(s, w, b, head):
+    assert _log_head(s, w, b, 1.0) == pytest.approx(head, rel=4e-16, abs=0.0)
 
 
 def test_sign_function_transform_closed_form():
@@ -385,6 +389,76 @@ def test_kernels_reject_an_omega_whose_period_overflows(kernel):
         kernel(1e-308, 10.0)
 
 
+# omega*t_m at 2^53 periods, the kernels' ceiling
+EDGE = 2.0 * math.pi * 2.0 ** 53
+# powers of two, so that omega*t_m = x is exact and the references are exact
+SWEEP_OMEGAS = (1.0, -1.0, 2.0 ** -960, 2.0 ** 1000, 2.0 ** 1023)
+# (omega, t_m, answered): x = 1e3 and just below the ceiling are answered; the
+# ceiling, x = 1e20, a subnormal t_m and an omega whose period overflows are not
+SWEEP = ([(w, x / abs(w), True) for w in SWEEP_OMEGAS for x in (1e3, EDGE * (1.0 - 2.0 ** -20))]
+         + [(w, 2.0 ** -1022, True) for w in SWEEP_OMEGAS]
+         + [(w, x / abs(w), False) for w in SWEEP_OMEGAS for x in (EDGE, 1e20)]
+         + [(w, t, False) for w in SWEEP_OMEGAS for t in (5e-324, 1e-323, 2.0 ** -1040)]
+         + [(2.0 ** -1022, t, False) for t in (1.0, 1e300)])
+
+
+def sign_sweep(omega, t_m):
+    """The sign kernel and its closed form, to 1e-9 of its largest value 4/|omega|."""
+    value = sign_function_transform(omega, t_m)
+    return value, 2j * (1.0 - math.cos(abs(omega) * t_m)) / omega, 4e-9 / abs(omega)
+
+
+# D(2) = wk(1, 2).difference from the same closed forms as WK_DIFFERENCE,
+# for 2^1023 rad/s at the smallest normal t_m
+WK_SWEEP_FROZEN = {**WK_DIFFERENCE, 2.0: -1.660462946733323}
+
+
+def wk_sweep(omega, t_m):
+    """The wk difference and its value from D(x) = wk(1, x).difference at
+    x = |omega| t_m: (D(x) + 2 ln|omega| (cos x - 1)/x)/|omega|, by the
+    substitution tau -> tau/|omega|.  For small x it is t_m (ln t_m - 3/2) up
+    to O(x^2) relative; D(x) is frozen at x = 2 and at WK_DIFFERENCE's t_m,
+    and elsewhere is -pi within (2 ln x + 5)/x."""
+    value, w, x = wk_identity_check(omega, t_m).difference, abs(omega), abs(omega) * t_m
+    if x < 1e-6:
+        target, remainder = t_m * (math.log(t_m) - 1.5), 0.0
+    else:
+        frozen = WK_SWEEP_FROZEN.get(x)
+        d = -math.pi if frozen is None else frozen
+        target = (d + 2.0 * math.log(w) * (math.cos(x) - 1.0) / x) / w
+        remainder = 0.0 if frozen is not None else (2.0 * math.log(x) + 5.0) / (x * w)
+    return value, target, 1e-9 * abs(target) + remainder
+
+
+def sigma_sweep(omega, t_m):
+    """The log-law Sigma with tau0 = 1/|omega| and its limit -e^{-1}/|f|,
+    within the O(1/(f t_m)) remainder."""
+    f = omega / (2.0 * math.pi)
+    target = -math.exp(-1.0) / abs(f)
+    value = sigma_spectrum(CovarianceModel(kind="log-law", tau0=1.0 / abs(omega)), f, t_m)
+    return value, target, (5.0 / abs(f * t_m) + 1e-9) * abs(target)
+
+
+@pytest.mark.parametrize("kernel", [sign_sweep, wk_sweep, sigma_sweep])
+@pytest.mark.parametrize("omega, t_m, answered", SWEEP,
+                         ids=[f"{w:g},{t:.17g}" for w, t, _ in SWEEP])
+def test_kernel_edge_sweep(kernel, omega, t_m, answered):
+    # past 2^53 periods sign_function_transform(1, 1e18) once returned 11.47
+    # (truly 1.76), and wk_identity_check(1, 5e-324) ended in a ValueError;
+    # Sigma also refuses omega*t_m < 100
+    if kernel is sigma_sweep and abs(omega) * t_m < 100.0:
+        answered = False
+    if not answered:
+        with pytest.raises(SpectralError) as err:
+            kernel(omega, t_m)
+        names = [f"omega={omega:g} rad/s", f"f={omega / (2.0 * math.pi):g} Hz"]
+        assert f"t_m={t_m:g} s" in str(err.value)
+        assert any(name in str(err.value) for name in names)
+        return
+    value, target, tolerance = kernel(omega, t_m)
+    assert abs(value - target) <= tolerance
+
+
 def not_finite_user_function(tau):
     return np.where(np.abs(tau) > 50.0, np.nan, np.exp(-np.abs(tau)))
 
@@ -392,11 +466,16 @@ def not_finite_user_function(tau):
 @pytest.mark.parametrize("kernel, args, names", [
     (sigma_spectrum, (user_covariance(not_finite_user_function), 1.0, 200.0),
      ["f=1 Hz", "t_m=200 s"]),
-    (sigma_spectrum, (CovarianceModel(kind="log-law"), 0.01, 1e200),
-     ["f=0.01 Hz", "t_m=1e+200 s"]),
+    (sigma_spectrum, (CovarianceModel(kind="log-law"), 1e-306, 1e308),
+     ["Sigma(f) is not finite", "f=1e-306 Hz", "t_m=1e+308 s"]),
     (wk_identity_check, (1.0, 1e307), ["omega=1 rad/s", "t_m=1e+307 s"]),
+    # 1.6 periods, but lhs1 ~ 2 ln(t_m) sin(omega t_m)/omega, and the ln(tau)
+    # row's head b (ln b - 1) already, pass the float range
+    (wk_identity_check, (1e-307, 1e308),
+     ["integrals overflow", "omega=1e-307 rad/s", "t_m=1e+308 s"]),
     (sign_function_transform, (1e300, 1e300), ["omega=1e+300 rad/s", "t_m=1e+300 s"]),
-], ids=["nan-user-function", "log-law-huge-t_m", "wk-huge-t_m", "sign-omega-t_m-overflow"])
+], ids=["nan-user-function", "log-law-huge-t_m", "wk-huge-t_m", "wk-head-overflow",
+        "sign-omega-t_m-overflow"])
 def test_kernels_reject_non_finite_results(kernel, args, names):
     # these once returned nan, with overflow warnings for the log-law
     with pytest.raises(SpectralError) as err:
@@ -410,13 +489,22 @@ def test_kernels_reject_non_finite_results(kernel, args, names):
     (lambda: SignalRecord(samples=np.zeros((2, 2)), dt=0.5),
      "a signal record needs at least 2 samples"),
     (lambda: SignalRecord(samples=[0.0, math.nan], dt=0.5), "signal samples must be finite"),
-    (lambda: SignalRecord(samples=[0.0, 1.0], dt=0.0), "sampling step must be positive, got 0.0"),
+    (lambda: SignalRecord(samples=[0.0, 1.0], dt=0.0),
+     "sampling step must be finite and positive, got 0.0"),
+    (lambda: SignalRecord(samples=[0.0, 1.0], dt=math.inf),
+     "sampling step must be finite and positive, got inf"),
     (lambda: power_spectrum_estimate([], [0.1]), "ensemble must contain at least one record"),
     # S(tau) = tau e^{-|tau|} is odd: Sigma(f) is imaginary
     (lambda: sigma_spectrum(user_covariance(lambda tau: tau * np.exp(-np.abs(tau))), 1.0, 200.0),
      r"Sigma\(f\) at f=1 Hz, t_m=200 s has an imaginary part .* the covariance is not even"),
-], ids=["one-sample", "two-dimensional", "nan-sample", "zero-dt", "empty-ensemble",
-        "odd-covariance"])
+    # 100/|omega| overflows below f = 1.6e-307: both of these once read
+    # "need a finite t_m >= inf s", a bound no input can meet
+    (lambda: sigma_spectrum(CovarianceModel(kind="log-law"), 5e-309, 1e300),
+     r"omega=3\.14159e-308 rad/s, t_m=1e\+300 s: need a finite omega != 0 .*"),
+    (lambda: sigma_spectrum(CovarianceModel(kind="log-law"), 1e-308, 1e300),
+     r"t_m=1e\+300 s too small for f=1e-308 Hz; need 2 pi \|f\| t_m >= 100"),
+], ids=["one-sample", "two-dimensional", "nan-sample", "zero-dt", "infinite-dt",
+        "empty-ensemble", "odd-covariance", "sigma-period-overflows", "sigma-tiny-f"])
 def test_records_estimator_and_sigma_refuse_by_message(call, message):
     with pytest.raises(SpectralError, match=f"^{message}$"):
         call()
