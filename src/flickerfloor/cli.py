@@ -4,7 +4,7 @@ Subcommands: factor, kappa, delta, spectrum, estimate, verify-wk, report.
 Exit codes: 0 success, 1 input error (InputError, OSError), 2 verification failure.
 numpy is imported only for array work: by estimate and verify-wk, which also
 import the spectral layer, and by factor --method quadrature.  spectrum is
-plain arithmetic on its grid, and no path imports dataclasses.
+plain arithmetic on its grid; no path imports dataclasses, typing or importlib.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_catalog(args):
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except UnicodeDecodeError as err:
             raise ConfigError(f"{args.config}: not a text config ({err.reason})") from err

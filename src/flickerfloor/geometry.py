@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
 
 from .units import InputError, Quantity, Record, parse_unit, quantity
 
+TYPE_CHECKING = False  # a type checker reads it as True; importing typing slows a cold start
 if TYPE_CHECKING:
     import numpy as np
 
@@ -62,7 +62,7 @@ class SampleGeometry(Record):
         return self.l * self.w * self.a
 
 
-def _point(x) -> Optional[Point]:
+def _point(x) -> Point | None:
     """x as a tuple of 3 floats, or None unless it is a finite 3-vector.
 
     Takes any sequence of numbers, a numpy array of rank 1 among them.

@@ -18,7 +18,7 @@ that leaves the float range, naming the material and the quantity.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .geometry import (GeometricFactor, ProbePair, SampleGeometry,
                        geometric_factor, geometric_factor_transverse)
@@ -62,8 +62,8 @@ class Material(Record):
     OPTIONAL = ("h14", "m2_lambda")
 
     def __init__(self, name: str, carriers: tuple[CarrierSpecies, ...], rho0: Quantity,
-                 u: Quantity, d: Quantity, dos: Quantity, h14: Optional[Quantity] = None,
-                 m2_lambda: Optional[Quantity] = None, acoustic_match: str = "matched"):
+                 u: Quantity, d: Quantity, dos: Quantity, h14: Quantity | None = None,
+                 m2_lambda: Quantity | None = None, acoustic_match: str = "matched"):
         if not carriers:
             raise NoiseFloorError(f"material '{name}': needs at least one carrier species")
         given = locals()
@@ -93,7 +93,7 @@ class SpectrumSeries(Record):
     __slots__ = ("f", "value", "stderr", "annotations")
 
     def __init__(self, f: Sequence[float], value: Sequence[float], stderr: Sequence[float],
-                 annotations: Optional[dict] = None):
+                 annotations: dict | None = None):
         if any(b <= a for a, b in zip(f, f[1:])):
             raise NoiseFloorError("frequency grid must be strictly increasing")
         if not (all(map(math.isfinite, value)) and all(map(math.isfinite, stderr))):
@@ -194,8 +194,8 @@ def corner_power(material: Material, delta: float) -> float:
 
 def build_model(geom: SampleGeometry, probes: ProbePair, material: Material,
                 configuration: str = "longitudinal", single_species: bool = False,
-                delta_override: Optional[float] = None,
-                g: Optional[GeometricFactor] = None) -> NoiseFloorModel:
+                delta_override: float | None = None,
+                g: GeometricFactor | None = None) -> NoiseFloorModel:
     """Compose geometry and material into an evaluable noise-floor model.
 
     delta_override substitutes a measured exponent shift for the computed

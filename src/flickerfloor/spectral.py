@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 

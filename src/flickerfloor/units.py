@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class InputError(ValueError):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from importlib import resources
-from typing import Optional
+import os
 
 from . import geometry, noise_floor
 from .geometry import ProbePair, SampleGeometry
@@ -34,10 +33,9 @@ class CatalogEntry(Record):
 
     def __init__(self, sample_id: str, geom: SampleGeometry, probes_longitudinal: ProbePair,
                  probes_transverse: ProbePair, material: Material,
-                 g_override: Optional[float] = None, g_tr_override: Optional[float] = None,
-                 kappa_exp: Optional[float] = None,
-                 kappa_exp_transverse: Optional[float] = None,
-                 gamma_exp: Optional[float] = None, delta_override: Optional[float] = None,
+                 g_override: float | None = None, g_tr_override: float | None = None,
+                 kappa_exp: float | None = None, kappa_exp_transverse: float | None = None,
+                 gamma_exp: float | None = None, delta_override: float | None = None,
                  annotation: str = ""):
         self._fill(locals())
 
@@ -45,7 +43,7 @@ class CatalogEntry(Record):
         return self.probes_longitudinal if mode == "longitudinal" else self.probes_transverse
 
     def g(self, mode: str, g_source: str = "computed",
-          method: str = "closed_form") -> Optional[geometry.GeometricFactor]:
+          method: str = "closed_form") -> geometry.GeometricFactor | None:
         """The one pick of the sample's g in mode: the tabulated value for
         g_source "table" (None when there is none), else g computed by method
         from the dimensions and the default probes.  Refusals are ConfigErrors."""
@@ -64,7 +62,7 @@ class CatalogEntry(Record):
             raise ConfigError(f"{err} in [sample:{self.sample_id}]") from err
 
     def model(self, mode: str, single_species: bool = False,
-              g: Optional[geometry.GeometricFactor] = None) -> noise_floor.NoiseFloorModel:
+              g: geometry.GeometricFactor | None = None) -> noise_floor.NoiseFloorModel:
         """The sample's noise-floor model in mode, on g when given, else on the
         computed g.  A model the sample's data refuse is a ConfigError naming it."""
         g = self.g(mode) if g is None else g
@@ -94,7 +92,7 @@ class Report(Record):
 # ---------------------------------------------------------------------------
 
 def _number(section: str, fields: dict, key: str, unit: str = "", positive: bool = False,
-            required: bool = False) -> Optional[float]:
+            required: bool = False) -> float | None:
     """Pop key from a section's fields and read it as <number> [unit]: its
     magnitude in unit (dimensionless by default), or None when it is absent
     and not required.  A value that does not parse, is not of unit's dimension
@@ -209,7 +207,8 @@ def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Materi
 def bundled_config_text(name: str) -> str:
     """Text of a bundled example config: 'ingaas', 'ybco' or 'gaas_piezo'."""
     fname = name if name.endswith(".cfg") else f"{name}.cfg"
-    return resources.files("flickerfloor.configs").joinpath(fname).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "configs", fname), encoding="utf-8") as fh:
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------

@@ -883,13 +883,20 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def run_python(code, *args):
-    """stdout of a fresh interpreter that imports flickerfloor from this tree."""
+def fresh_interpreter(*argv, **env):
+    """The finished run of a fresh interpreter, with env added to its
+    environment, that imports flickerfloor from this tree."""
     src = str(Path(flickerfloor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def run_python(code, *args, flags=()):
+    """stdout of a fresh interpreter, started with flags, that runs code."""
+    done = fresh_interpreter(*flags, "-c", code, *args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_import_cli_loads_no_scipy():
@@ -927,33 +934,43 @@ SCALAR_QUESTIONS = [
 ]
 
 
-def ask_in_process(argvs):
-    """[exit code, whether stdout got text, which of numpy, spectral,
-    numpy.polynomial, numpy.ma, fractions, decimal and dataclasses are loaded] after
-    each argv, asked in turn in one fresh interpreter."""
+WATCHED = ["numpy", "flickerfloor.spectral", "numpy.polynomial", "numpy.ma", "fractions",
+           "decimal", "dataclasses"]
+
+
+def ask_in_process(argvs, watched=WATCHED, flags=()):
+    """[exit code, whether stdout got text, which watched modules are loaded]
+    after each argv, asked in turn in one fresh interpreter started with flags."""
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import flickerfloor, flickerfloor.cli
+        argvs, watched = map(json.loads, sys.argv[1:])
         answers = []
-        for argv in json.loads(sys.argv[1]):
+        for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = flickerfloor.cli.main(argv)
-            loaded = [m for m in ("numpy", "flickerfloor.spectral", "numpy.polynomial",
-                                  "numpy.ma", "fractions", "decimal", "dataclasses")
-                      if m in sys.modules]
-            answers.append([code, bool(out.getvalue()), loaded])
+            answers.append([code, bool(out.getvalue()), [m for m in watched if m in sys.modules]])
         print(json.dumps(answers))
     """)
-    return json.loads(run_python(code, json.dumps(argvs)))
+    return json.loads(run_python(code, json.dumps(argvs), json.dumps(watched), flags=flags))
 
 
 def test_scalar_questions_import_no_numpy():
     # fractions (and decimal, which it imports) would add 3-5 ms to each cold
-    # process, and dataclasses about 12 ms
-    answers = ask_in_process([argv for argv, _ in SCALAR_QUESTIONS])
+    # process, dataclasses about 12 ms, and typing with importlib.resources
+    # (and pathlib and tempfile, which it imports) 16-25 ms.  Asked under
+    # -S, since a site .pth hook may load any of them first; none of these
+    # questions needs site-packages.  The baseline is what the stdlib modules
+    # the program and this probe import load by themselves.
+    watched = [*WATCHED, "typing", "importlib.resources", "pathlib", "tempfile"]
+    eager = json.loads(run_python(
+        "import argparse, configparser, contextlib, json, sys; "
+        "print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))",
+        json.dumps(watched), flags=["-S"]))
+    answers = ask_in_process([argv for argv, _ in SCALAR_QUESTIONS], watched, flags=["-S"])
     for (argv, want_code), (code, printed, loaded) in zip(SCALAR_QUESTIONS, answers, strict=True):
-        assert (code, printed, loaded) == (want_code, want_code == 0, []), argv
+        assert (code, printed, loaded) == (want_code, want_code == 0, eager), argv
 
 
 def test_array_questions_import_no_fractions():
@@ -969,3 +986,31 @@ def test_array_questions_import_no_fractions():
     assert answers == [[0, True, ["numpy", *eager]],
                        [0, True, ["numpy", "flickerfloor.spectral", *eager]],
                        [0, True, ["numpy", "flickerfloor.spectral", *eager]]]
+
+
+def test_cli_reads_a_catalog_as_utf8_under_an_ascii_locale(capsys, tmp_path):
+    # units defines µm, so a catalog is read as UTF-8, as the bundled ones
+    # are, whatever the locale; a file that is not UTF-8 is still refused
+    text = "\n".join(["[material:gaas]", "carriers = n:0.06", "rho0 = 5.3 g/cm^3",
+                      "u = 2.5e5 cm/s", "d = 5e-8 cm", "dos = 1e22 1/(eV*cm^3)",
+                      "h14 = -1.4e9 V/m", "[sample:bar]", "material = gaas", "width = 5 µm",
+                      "length = 20 um", "thickness = 20 nm"])
+    (tmp_path / "micro.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "latin.cfg").write_text(text, encoding="latin-1")
+    argv = ["kappa", "--config", str(tmp_path / "micro.cfg"), "--sample", "bar"]
+    assert cli.main(argv) == 0
+    ascii_locale = dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ascii_locale)
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    argv[2] = str(tmp_path / "latin.cfg")
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ascii_locale)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: {argv[2]}: not a text config (invalid start byte)\n")
+
+
+def test_bundled_config_text_is_the_packaged_file():
+    for name in ("ingaas", "ybco", "gaas_piezo"):
+        text = (CONFIGS / f"{name}.cfg").read_bytes().decode("utf-8")
+        assert bundled_config_text(name) == bundled_config_text(f"{name}.cfg") == text
+    with pytest.raises(FileNotFoundError):
+        bundled_config_text("nope")
