@@ -183,8 +183,8 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--points {args.points}: must be >= 0")
     if args.points > _MAX_POINTS:
         raise ConfigError(f"--points {args.points}: must be at most {_MAX_POINTS:,}")
-    # np.logspace's grid: exponents start + i*step, the last of two or more
-    # exactly log10(fmax)
+    # np.logspace's exponents, start + i*step, the last of two or more exactly
+    # log10(fmax); Python's ** may round a point one ulp from numpy's power
     start, stop = math.log10(args.fmin), math.log10(args.fmax)
     last = max(args.points - 1, 1)
     step = (stop - start) / last
@@ -192,6 +192,9 @@ def cmd_spectrum(args) -> int:
         f = [10.0 ** (start + i * step if i < last else stop) for i in range(args.points)]
     except OverflowError as err:  # 10^log10(fmax) may round past the largest float
         raise ConfigError(f"--fmax {args.fmax}: the grid leaves the float range") from err
+    if any(b <= a for a, b in zip(f, f[1:])):  # fmax within a few ulps of fmin
+        raise ConfigError(f"--points {args.points} --fmin {args.fmin} --fmax {args.fmax}: "
+                          "the grid points are not strictly increasing")
     _write_table(noise_floor.evaluate_spectrum(model, u0, f), args.output)
     return 0
 

@@ -241,22 +241,23 @@ def evaluate_spectrum(model: NoiseFloorModel, u0: Quantity, f_grid) -> SpectrumS
     Values are in V^2/Hz (times Hz^delta when gamma > 1).  Points beyond the
     validity limit are flagged and annotated with the excess factor; the
     series holds lists.  A floor that is not finite at some grid point is a
-    NoiseFloorError.
+    NoiseFloorError, as is one below the smallest normal double, where it has
+    lost digits or underflowed to 0, unless U0 = 0.
     """
     f = [float(x) for x in f_grid]
     if 0.0 in f:
         raise NoiseFloorError("the floor spectrum diverges at f = 0")
+    fmax = model.fmax.to("Hz")
+    beyond = [abs(x) > fmax for x in f]
+    excess = [model.excess_factor(abs(x)) if b else 1.0 for x, b in zip(f, beyond)]
     u0_volts = u0.to("V")
     try:
         k = model.kappa * u0_volts ** 2
         s = [k / abs(x) ** model.gamma for x in f]
     except (OverflowError, ZeroDivisionError):  # |f|^gamma may underflow to 0
         s = [math.inf]
-    if not all(map(math.isfinite, s)):
+    if not all(map(math.isfinite, s)) or (u0_volts != 0.0 and min(s, default=1.0) < 2.0 ** -1022):
         raise NoiseFloorError(f"U0 = {u0_volts:g} V: the floor kappa*U0^2/|f|^gamma "
-                              "is not finite on this grid")
-    fmax = model.fmax.to("Hz")
-    beyond = [abs(x) > fmax for x in f]
-    excess = [model.excess_factor(abs(x)) if b else 1.0 for x, b in zip(f, beyond)]
+                              "leaves the float range on this grid")
     return SpectrumSeries(f=f, value=s, stderr=[0.0] * len(s),
                           annotations={"beyond_validity": beyond, "excess_factor": excess})

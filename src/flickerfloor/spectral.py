@@ -8,16 +8,17 @@ The estimator follows the plain finite-time transform
 
 with trapezoidal discretization and literal ensemble averaging (no windowing
 or overlap).  For covariances growing like log|tau|, which have no ordinary
-Fourier transform, the difference construction
+Fourier transform, the difference of the transforms of S and of |tau| S/tm,
 
-    Sigma(f) = int_{-tm}^{tm} S(tau) e^{iw tau} dtau
-             - (1/tm) int_{-tm}^{tm} |tau| S(tau) e^{iw tau} dtau
+    Sigma(f) = int_{-tm}^{tm} (1 - |tau|/tm) S(tau) e^{iw tau} dtau,
 
-stays finite as tm grows.  Its quadrature takes Gauss-Legendre panels over
-the first few periods and Filon-Clenshaw-Curtis panels, doubling in length,
-beyond them, so its cost grows like log(f tm); both terms share every panel,
-so their log(tm)-sized oscillating pieces cancel without losing the -pi/|w|
-residual.  One routine weights, rotates and budgets every Gauss panel.
+stays finite as tm grows; its window is the triangle (Fejer) one that
+<|U|^2>/tm puts on a stationary covariance (Percival & Walden 1993, sec. 6.3).
+Gauss-Legendre panels over the first few periods and Filon-Clenshaw-Curtis
+panels, doubling in length, beyond them make its cost grow like log(f tm).
+The log-kernel check's two rows share every panel, so their log(tm)-sized
+pieces cancel without losing the -pi/|w| residual.  One routine weights,
+rotates and budgets every Gauss panel.
 
 No phase is taken from a large argument: the kernels' panel edges sit at
 whole periods, whose phases are small multiples of the amount, carried in two
@@ -416,7 +417,7 @@ def _fourier_integrals(g: Callable[[np.ndarray], np.ndarray], omega: float, t_m:
 
 
 def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
-    """Finite-time value of the generalized Wiener-Khinchin difference Sigma(f).
+    """Sigma(f) at a finite t_m: the transform of S(tau) windowed by 1 - |tau|/t_m.
 
     Requires t_m >= 100/(2 pi |f|) so the O(1/t_m) remainder is below the
     percent scale.  For even covariances the imaginary part cancels; it is
@@ -433,24 +434,22 @@ def sigma_spectrum(cov: CovarianceModel, f: float, t_m: float) -> float:
         head.append(edge)
         edge *= 10.0
 
-    def integrand(tau):  # the |tau| rows carry 1/t_m, so they do not underflow at a small t_m
-        sp, sm = cov.evaluate(tau), cov.evaluate(-tau)
-        return np.stack([sp, sm, tau / t_m * sp, tau / t_m * sm])
+    def integrand(tau):  # S's even and odd parts times w/2, w = 1 - tau/t_m: none exceeds max|S|
+        sp, sm, half_w = cov.evaluate(tau), cov.evaluate(-tau), 0.5 - 0.5 * tau / t_m
+        return np.stack([half_w * (sp + sm), half_w * (sp - sm)])
 
-    # int_{-tm}^{tm} S(tau) e^{iw tau} dtau = int_0^tm S(tau) e^{iw tau} + conj(S(-tau) e^{iw tau})
-    # combined as Python complex numbers, which turn an overflow into nan
-    # without a warning, so that it reaches the check below
-    zp, zm, tzp, tzm = map(complex, _fourier_integrals(integrand, omega, t_m, head))
-    result = zp + zm.conjugate() - (tzp + tzm.conjugate())
-    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
+    # S(-tau) enters conjugated: Sigma = 2 Re(even row) + 2i Im(odd row)
+    even, odd = _fourier_integrals(integrand, omega, t_m, head)
+    re, im = 2.0 * float(even.real), 2.0 * float(odd.imag)
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise SpectralError(
             f"Sigma(f) is not finite at f={f:g} Hz, t_m={t_m:g} s: the covariance "
             "is not finite, or overflows, on [-t_m, t_m]")
-    if abs(result.imag) >= 1e-9 * max(abs(result.real), 1e-300):
+    if abs(im) >= 1e-9 * max(abs(re), 1e-300):
         raise SpectralError(
-            f"Sigma(f) at f={f:g} Hz, t_m={t_m:g} s has an imaginary part {result.imag:g} not "
-            f"negligible against {result.real:g}; the covariance is not even")
-    return float(result.real)
+            f"Sigma(f) at f={f:g} Hz, t_m={t_m:g} s has an imaginary part {im:g} not "
+            f"negligible against {re:g}; the covariance is not even")
+    return re
 
 
 def wk_identity_check(omega: float, t_m: float) -> WkIdentityResult:

@@ -206,8 +206,8 @@ def load_catalog(config_text: str) -> tuple[list[CatalogEntry], dict[str, Materi
 
 def bundled_config_text(name: str) -> str:
     """Text of a bundled example config: 'ingaas', 'ybco' or 'gaas_piezo'."""
-    fname = name if name.endswith(".cfg") else f"{name}.cfg"
-    with open(os.path.join(os.path.dirname(__file__), "configs", fname), encoding="utf-8") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg"),
+              encoding="utf-8") as fh:
         return fh.read()
 
 

@@ -68,6 +68,11 @@ def test_cli_output_matches_golden(case, capsys):
     assert capsys.readouterr().out == case["stdout"]
 
 
+def test_golden_file_holds_every_case():
+    # the frozen argv lists are the ones _cases() would regenerate, in order
+    assert [case["argv"] for case in json.loads(GOLDEN.read_text())] == _cases()
+
+
 def _regenerate():
     import contextlib
     import io

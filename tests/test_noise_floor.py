@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flickerfloor import workbench
+from flickerfloor.spectral import SignalRecord, power_spectrum_estimate
 from flickerfloor.geometry import (
     GeometricFactor,
     GeometryError,
@@ -363,6 +364,32 @@ def test_evaluate_spectrum_flags_beyond_validity():
     assert not flags[0] and flags[1]
     assert series.annotations["excess_factor"][1] == pytest.approx(100.0, rel=1e-12)
     assert series.annotations["excess_factor"][0] == 1.0
+
+
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [1.0, 1.0], [1.0, 3.0, 2.0]])
+def test_spectra_refuse_a_grid_that_is_not_strictly_increasing(grid):
+    geom = v1_geometry()
+    model = build_model(geom, longitudinal_probes(geom), make_material())
+    record = SignalRecord(np.zeros(8), 0.5)
+    for spectrum in (lambda: evaluate_spectrum(model, parse_quantity("1 V"), grid),
+                     lambda: power_spectrum_estimate([record], grid)):
+        with pytest.raises(NoiseFloorError, match="^frequency grid must be strictly increasing$"):
+            spectrum()
+
+
+def test_evaluate_spectrum_refuses_a_floor_below_the_normal_range():
+    # kappa is about 3.5e-10: U0 = 1e-150 V leaves subnormal floors, whose
+    # last digits are lost, and U0 = 1e-160 V underflows them to 0
+    geom = v1_geometry()
+    model = build_model(geom, longitudinal_probes(geom), make_material())
+    f = [1e-2, 1.0, 1e4]
+    for u0 in ("1e-160 V", "1e-150 V", "-1e-150 V"):
+        with pytest.raises(NoiseFloorError, match=re.escape(
+                f"U0 = {float(u0[:-2]):g} V: the floor kappa*U0^2/|f|^gamma leaves the "
+                "float range on this grid")):
+            evaluate_spectrum(model, parse_quantity(u0), f)
+    assert min(evaluate_spectrum(model, parse_quantity("1e-140 V"), f).value) > 2.0 ** -1022
+    assert evaluate_spectrum(model, parse_quantity("0 V"), f).value == [0.0, 0.0, 0.0]
 
 
 def _quantity_oracle(entry, mode, g, single_species):

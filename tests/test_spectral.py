@@ -197,6 +197,25 @@ def test_sigma_exponential_is_lorentzian():
         assert sigma_spectrum(cov, f=f, t_m=400.0 / f) == pytest.approx(target, rel=0.01)
 
 
+# Sigma(f) of S = exp(-|tau|/tau0) at f t_m = 1e2, 1e4 and 1e6, the exact
+# finite-time value Re sum_{+-} [-1/z + (e^{zT} - 1)/(z^2 T)] with
+# z = -1/tau0 +- i omega and T = t_m, from 40-digit mpmath at the double t_m
+# and rounded to double
+SIGMA_EXP_FINITE_TIME = {  # (tau0, f): values at the three f t_m
+    (1.0, 0.05): (1.8195930268634748, 1.8203322088082599, 1.8203396006277077),
+    (1.0, 1.0): (0.04987872398602317, 0.04941374284293836, 0.04940909303150751),
+    (2.0, 0.05): (2.8665828120726338, 2.8678147574073214, 2.867827076860668),
+    (2.0, 1.0): (0.025667981573342817, 0.025175870150951216, 0.0251709490367273),
+}
+
+
+@pytest.mark.parametrize("tau0, f", list(SIGMA_EXP_FINITE_TIME))
+def test_sigma_exponential_against_its_exact_finite_time_value(tau0, f):
+    cov = CovarianceModel(kind="exponential", tau0=tau0)
+    for ft, exact in zip((1e2, 1e4, 1e6), SIGMA_EXP_FINITE_TIME[tau0, f]):
+        assert sigma_spectrum(cov, f=f, t_m=ft / f) == pytest.approx(exact, rel=1e-12), ft
+
+
 def test_sigma_constant_covariance_vanishes():
     # both finite integrals reduce to boundary terms that cancel up to
     # 2c(1 - cos(omega t_m))/(omega^2 t_m), which vanishes as t_m grows

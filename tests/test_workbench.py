@@ -831,6 +831,10 @@ def test_cli_bad_points_and_undecodable_config_exit_1(capsys, tmp_path):
     (["estimate", "--n", str(2 ** 27), "--records", "32"], "--n 134217728 --records 32"),
     (["estimate", "--n", "1000"], "--n 1000: must be a power of two"),
     (["spectrum", "--sample", "V1", "--fmin", "10", "--fmax", "1"], "need 0 < fmin < fmax"),
+    (["spectrum", "--sample", "V1", "--points", "3", "--fmin", "1",
+      "--fmax", "1.0000000000000002"], "--points 3 --fmin 1.0 --fmax 1.0000000000000002"),
+    (["spectrum", "--sample", "V1", "--u0", "1e-160 V"],
+     "U0 = 1e-160 V: the floor kappa*U0^2/|f|^gamma leaves the float range"),
 ])
 def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # these once ended in "spectrum values must be finite" or "signal samples
@@ -841,7 +845,9 @@ def test_cli_non_finite_inputs_exit_1_by_name(argv, name, capsys):
     # OverflowError traceback; --points had no ceiling, and at 2e9 points its
     # grid alone would take 16 GB, nor had estimate's records, which at
     # --n 2^27 --records 32 would take 32 GiB; an --n that is not a power of
-    # two was refused by the synthesizer, after numpy loaded, by no flag
+    # two was refused by the synthesizer, after numpy loaded, by no flag; a
+    # grid whose points round together was refused by the series, by no flag,
+    # and a floor that underflows was printed as 0
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -1011,6 +1017,7 @@ def test_cli_reads_a_catalog_as_utf8_under_an_ascii_locale(capsys, tmp_path):
 def test_bundled_config_text_is_the_packaged_file():
     for name in ("ingaas", "ybco", "gaas_piezo"):
         text = (CONFIGS / f"{name}.cfg").read_bytes().decode("utf-8")
-        assert bundled_config_text(name) == bundled_config_text(f"{name}.cfg") == text
-    with pytest.raises(FileNotFoundError):
-        bundled_config_text("nope")
+        assert bundled_config_text(name) == text
+    for name in ("nope", "ingaas.cfg"):  # a name, not a file name
+        with pytest.raises(FileNotFoundError):
+            bundled_config_text(name)
