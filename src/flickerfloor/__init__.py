@@ -10,8 +10,9 @@ none of them, so a caller that needs no arrays never imports numpy):
   gamma = 1 + delta, and the measurement-time validity bound.
 - ``spectral``: finite-measurement-time spectral estimation and the
   generalized Wiener-Khinchin identities behind it.
-- ``workbench``: config-driven catalogs, comparison reports, verification
-  suite, and the command-line interface (see ``cli``).
+- ``workbench``: config-driven catalogs, comparison reports and the
+  verification suite.
+- ``cli``: the ``flickerfloor`` command-line interface over them.
 """
 
 __version__ = "0.1.0"

@@ -24,17 +24,15 @@ _MAX_POINTS = 1_000_000  # spectrum points; each takes about 115 bytes of float 
 # at the ceiling, next to which the FFT and estimator transients are small
 _MAX_SAMPLES = 2 ** 26
 
+# the flags two or more subcommands take, each declared once
 _COMMON = {
     "--config": dict(help="catalog config path (default: bundled ingaas.cfg)"),
     "--output": dict(help="write CSV to this path instead of stdout"),
     "--mode": dict(choices=["longitudinal", "transverse"], default="longitudinal",
                    help="probe configuration"),
+    "--sample": dict(required=True, help="sample id from the catalog"),
+    "--g-source": dict(choices=["computed", "table"], default="computed"),
 }
-
-
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,46 +42,47 @@ def build_parser() -> argparse.ArgumentParser:
                     "and material data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", help="geometric factor g for a catalog sample")
-    _add_common(p, "--config", "--mode")
-    p.add_argument("--sample", required=True, help="sample id from the catalog")
+    def command(name, run, help, *common):
+        """The subparser of name, which runs run(args), with the common flags."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for flag in common:
+            p.add_argument(flag, **_COMMON[flag])
+        return p
+
+    p = command("factor", cmd_factor, "geometric factor g for a catalog sample",
+                "--config", "--mode", "--sample")
     p.add_argument("--method", choices=["closed_form", "quadrature"],
                    default="closed_form")
 
-    p = sub.add_parser("kappa", help="noise magnitude kappa for a catalog sample")
-    _add_common(p, "--config", "--mode")
-    p.add_argument("--sample", required=True)
-    p.add_argument("--g-source", choices=["computed", "table"], default="computed")
+    p = command("kappa", cmd_kappa, "noise magnitude kappa for a catalog sample",
+                "--config", "--mode", "--sample", "--g-source")
     p.add_argument("--single-species", action="store_true",
                    help="use only the lightest carrier species")
 
-    p = sub.add_parser("delta", help="phonon-dressing exponent delta for a material")
-    _add_common(p, "--config")
+    p = command("delta", cmd_delta, "phonon-dressing exponent delta for a material",
+                "--config")
     p.add_argument("--material", help="material name (default: first in catalog)")
 
-    p = sub.add_parser("spectrum", help="evaluate S(f) for a catalog sample")
-    _add_common(p, "--config", "--output", "--mode")
-    p.add_argument("--sample", required=True)
+    p = command("spectrum", cmd_spectrum, "evaluate S(f) for a catalog sample",
+                "--config", "--output", "--mode", "--sample")
     p.add_argument("--u0", default="1 mV", help="bias voltage, e.g. '1 mV'")
     p.add_argument("--fmin", type=float, default=1e-2, help="Hz")
     p.add_argument("--fmax", type=float, default=1e4, help="Hz")
     p.add_argument("--points", type=int, default=200)
 
-    p = sub.add_parser("estimate", help="estimate the spectrum of synthetic power-law noise")
-    _add_common(p, "--output")
+    p = command("estimate", cmd_estimate,
+                "estimate the spectrum of synthetic power-law noise", "--output")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--n", type=int, default=4096, help="samples per record (power of two)")
     p.add_argument("--dt", type=float, default=1.0, help="sample step, s")
     p.add_argument("--records", type=int, default=32, help="ensemble size")
 
-    p = sub.add_parser("verify-wk", help="run the spectral-identity verification suite")
-    _add_common(p, "--output")
-
-    p = sub.add_parser("report", help="full catalog comparison table")
-    _add_common(p, "--config", "--output", "--mode")
-    p.add_argument("--g-source", choices=["computed", "table"], default="computed")
-
+    command("verify-wk", cmd_verify_wk, "run the spectral-identity verification suite",
+            "--output")
+    command("report", cmd_report, "full catalog comparison table",
+            "--config", "--output", "--mode", "--g-source")
     return parser
 
 
@@ -110,7 +109,7 @@ def _entry(args) -> workbench.CatalogEntry:
 
 def _write_table(table, output) -> None:
     """Write a Report, or a SpectrumSeries as f,S,stderr and one column per
-    annotation (flags as 0/1), as CSV to output, or to stdout without one.
+    annotation (flags as 0/1), as CSV to output (UTF-8), or to stdout without one.
     Floats (numpy's too) get 6 significant digits and None an empty cell.
     Cells are not quoted: a comma in a verify-wk case name adds a field."""
     if isinstance(table, workbench.Report):
@@ -125,10 +124,12 @@ def _write_table(table, output) -> None:
 
     # written as formatted: a million-point spectrum is never held as text
     lines = (",".join(map(cell, row)) + "\n" for row in itertools.chain([header], rows))
-    if output:
-        with open(output, "w") as fh:
+    if output:  # in the catalog's own encoding, whatever the locale's
+        with open(output, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-    else:
+    else:  # a character the stream's encoding lacks is escaped, as on stderr
+        if hasattr(sys.stdout, "reconfigure"):  # an io.StringIO has none and needs none
+            sys.stdout.reconfigure(errors="backslashreplace")
         sys.stdout.writelines(lines)
 
 
@@ -252,20 +253,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "factor": cmd_factor,
-    "kappa": cmd_kappa,
-    "delta": cmd_delta,
-    "spectrum": cmd_spectrum,
-    "estimate": cmd_estimate,
-    "verify-wk": cmd_verify_wk,
-    "report": cmd_report,
-}
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

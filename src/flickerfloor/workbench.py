@@ -40,6 +40,8 @@ class CatalogEntry(Record):
         self._fill(locals())
 
     def probes(self, mode: str) -> ProbePair:
+        if mode not in ("longitudinal", "transverse"):
+            raise ConfigError(f"unknown mode '{mode}'")
         return self.probes_longitudinal if mode == "longitudinal" else self.probes_transverse
 
     def g(self, mode: str, g_source: str = "computed",
@@ -47,8 +49,7 @@ class CatalogEntry(Record):
         """The one pick of the sample's g in mode: the tabulated value for
         g_source "table" (None when there is none), else g computed by method
         from the dimensions and the default probes.  Refusals are ConfigErrors."""
-        if mode not in ("longitudinal", "transverse"):
-            raise ConfigError(f"unknown mode '{mode}'")
+        probes = self.probes(mode)  # refuses an unknown mode
         if g_source == "table":
             value = self.g_override if mode == "longitudinal" else self.g_tr_override
             return None if value is None else geometry.GeometricFactor(quantity(value, "cm^-1"))
@@ -57,7 +58,7 @@ class CatalogEntry(Record):
         factor = (geometry.geometric_factor if mode == "longitudinal"
                   else geometry.geometric_factor_transverse)
         try:
-            return factor(self.geom, self.probes(mode), method=method)
+            return factor(self.geom, probes, method=method)
         except geometry.GeometryError as err:
             raise ConfigError(f"{err} in [sample:{self.sample_id}]") from err
 
@@ -224,6 +225,7 @@ def reproduce_tables(catalog: list[CatalogEntry], mode: str = "longitudinal",
     """
     if not catalog:
         raise ConfigError("catalog is empty")
+    catalog[0].probes(mode)  # refuses an unknown mode before any row
     longitudinal = mode == "longitudinal"
     rows = []
     for entry in catalog:

@@ -693,11 +693,11 @@ def test_work_budget_admits_an_unresolved_covariance_below_it():
     # digits): with S = e^{-|tau|/1e4} cos 5 tau, omega = 2 pi and T = 1e5,
     #   Sigma = Re sum_{+-} [-1/z + (e^{zT} - 1)/(z^2 T)],  z = -1e-4 + i(2 pi +- 5).
     # The bound is the eps max|g| P rounding of each one-period (P = 1 s) Gauss
-    # panel over the rows S(tau), S(-tau) (max|g| = 1) and tau S(+-tau)/T
-    # (max 1e4/(e T)), summed over the panels; the value cancels from terms
-    # near 0.78, so the rounding is absolute, not relative to it
+    # panel over the two windowed half-rows (1 - tau/T)(S(tau) +- S(-tau))/2,
+    # whose max|g| is at most 1 each, summed over the panels; the value cancels
+    # from terms near 0.78, so the rounding is absolute, not relative to it
     cov = user_covariance(unresolved_covariance)
-    bound = 1.3e5 * np.finfo(float).eps * (2.0 + 2.0 * 1e4 / (math.e * 1e5))
+    bound = 1.3e5 * np.finfo(float).eps * 2
     assert sigma_spectrum(cov, 1.0, 1e5) == pytest.approx(6.767006825143266e-05,
                                                           rel=0, abs=bound)
 

@@ -1,5 +1,6 @@
 """Catalog loading, table reproduction, verification suite, and the CLI."""
 
+import argparse
 import csv
 import io
 import json
@@ -305,6 +306,19 @@ def test_gaas_piezo_delta():
     _, materials = load_catalog(bundled_config_text("gaas_piezo"))
     from flickerfloor.noise_floor import phonon_delta
     assert phonon_delta(materials["gaas"]) == pytest.approx(0.14, rel=0.05)
+
+
+def test_entry_probes_refuses_an_unknown_mode(ingaas_catalog):
+    # it returned the transverse pair for any mode but "longitudinal"
+    with pytest.raises(ConfigError, match=r"^unknown mode 'diagonal'$"):
+        ingaas_catalog[0].probes("diagonal")
+
+
+def test_reproduce_tables_refuses_an_unknown_mode_before_any_row(ingaas_catalog):
+    # it was refused by the first row's model, which blamed that sample:
+    # "unknown configuration 'diagonal' in [sample:V1]"
+    with pytest.raises(ConfigError, match=r"^unknown mode 'diagonal'$"):
+        reproduce_tables(ingaas_catalog, mode="diagonal")
 
 
 def test_reproduce_tables_input_validation(ingaas_catalog):
@@ -859,7 +873,7 @@ def test_cli_internal_value_error_propagates(error, monkeypatch):
     # every user path wraps a DimensionError, so one that escapes is a bug
     def broken(args):
         raise error("internal bug")
-    monkeypatch.setitem(cli._COMMANDS, "factor", broken)
+    monkeypatch.setattr(cli, "cmd_factor", broken)
     with pytest.raises(error, match="internal bug"):
         cli.main(["factor", "--sample", "V1"])
 
@@ -887,6 +901,21 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_the_flags_readme_lists():
+    # README's CLI table against the parser: neither may drop or add a flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = {m[1]: set(re.findall(r"`(--[\w-]+)", m[2]))
+             for m in re.finditer(r"^\| `([\w-]+)` +\|(.*)\|$", section, re.M)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(table) == set(subparsers) and len(table) == 7
+    for name, parser in subparsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings
+                 if flag.startswith("--")}
+        assert flags - {"--help"} == table[name], name
 
 
 def fresh_interpreter(*argv, **env):
@@ -994,24 +1023,57 @@ def test_array_questions_import_no_fractions():
                        [0, True, ["numpy", "flickerfloor.spectral", *eager]]]
 
 
+# a catalog that needs UTF-8: units defines µm
+MICRO_CFG = "\n".join([
+    "[material:gaas]", "carriers = n:0.06", "rho0 = 5.3 g/cm^3", "u = 2.5e5 cm/s",
+    "d = 5e-8 cm", "dos = 1e22 1/(eV*cm^3)", "h14 = -1.4e9 V/m", "[sample:bar]",
+    "material = gaas", "width = 5 µm", "length = 20 um", "thickness = 20 nm"])
+ASCII_LOCALE = dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+
 def test_cli_reads_a_catalog_as_utf8_under_an_ascii_locale(capsys, tmp_path):
-    # units defines µm, so a catalog is read as UTF-8, as the bundled ones
-    # are, whatever the locale; a file that is not UTF-8 is still refused
-    text = "\n".join(["[material:gaas]", "carriers = n:0.06", "rho0 = 5.3 g/cm^3",
-                      "u = 2.5e5 cm/s", "d = 5e-8 cm", "dos = 1e22 1/(eV*cm^3)",
-                      "h14 = -1.4e9 V/m", "[sample:bar]", "material = gaas", "width = 5 µm",
-                      "length = 20 um", "thickness = 20 nm"])
-    (tmp_path / "micro.cfg").write_text(text, encoding="utf-8")
-    (tmp_path / "latin.cfg").write_text(text, encoding="latin-1")
+    # a catalog is read as UTF-8, as the bundled ones are, whatever the
+    # locale; a file that is not UTF-8 is still refused
+    (tmp_path / "micro.cfg").write_text(MICRO_CFG, encoding="utf-8")
+    (tmp_path / "latin.cfg").write_text(MICRO_CFG, encoding="latin-1")
     argv = ["kappa", "--config", str(tmp_path / "micro.cfg"), "--sample", "bar"]
     assert cli.main(argv) == 0
-    ascii_locale = dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ascii_locale)
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ASCII_LOCALE)
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
     argv[2] = str(tmp_path / "latin.cfg")
-    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ascii_locale)
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ASCII_LOCALE)
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", f"error: {argv[2]}: not a text config (invalid start byte)\n")
+
+
+def annotated_report(capsys, tmp_path):
+    """The report argv of a catalog whose annotation holds a µ, and its
+    stdout in this process (UTF-8)."""
+    config = tmp_path / "micro.cfg"
+    config.write_text(MICRO_CFG + "\nannotation = 5 µm wide bar", encoding="utf-8")
+    argv = ["report", "--config", str(config)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "5 µm wide bar" in out
+    return argv, out
+
+
+def test_cli_writes_output_files_as_utf8_under_an_ascii_locale(capsys, tmp_path):
+    # the file took the locale's encoding, and the µ ended the run in a
+    # UnicodeEncodeError traceback
+    argv, out = annotated_report(capsys, tmp_path)
+    csv_path = tmp_path / "micro.csv"
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, "--output", str(csv_path),
+                             **ASCII_LOCALE)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert csv_path.read_bytes() == out.encode("utf-8")
+
+
+def test_cli_escapes_on_stdout_what_its_encoding_lacks(capsys, tmp_path):
+    # as Python's stderr does; the µ ended the run in a UnicodeEncodeError traceback
+    argv, out = annotated_report(capsys, tmp_path)
+    done = fresh_interpreter("-m", "flickerfloor.cli", *argv, **ASCII_LOCALE)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.replace("µ", "\\xb5"), "")
 
 
 def test_bundled_config_text_is_the_packaged_file():
