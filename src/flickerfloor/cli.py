@@ -111,7 +111,8 @@ def _write_table(table, output) -> None:
     """Write a Report, or a SpectrumSeries as f,S,stderr and one column per
     annotation (flags as 0/1), as CSV to output (UTF-8), or to stdout without one.
     Floats (numpy's too) get 6 significant digits and None an empty cell.
-    Cells are not quoted: a comma in a verify-wk case name adds a field."""
+    Cells are not quoted: a comma in a verify-wk case name, or in a catalog
+    annotation (a report's annotations cell), adds a field."""
     if isinstance(table, workbench.Report):
         header, rows = table.columns, ([row.get(c) for c in table.columns] for row in table.rows)
     else:

@@ -259,6 +259,10 @@ def _column_corner_integral(u: Point, v: Point, floor_h: float) -> float:
     return total
 
 
+_MEMO_SIZE = 256  # (dims, points, method) keys kept; catalog passes draw 110
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)  # a pure function; an error is not cached
 def _box_integral(dims: Point, points, method: str) -> float:
     """Sum over points of the integral of 1/|r - x| over the box [0, dims];
     the one place where the method picks the rule.
@@ -268,6 +272,9 @@ def _box_integral(dims: Point, points, method: str) -> float:
     by _column_corner_integral with columns down to _SIZE_FLOOR times the
     diagonal of `dims` ("quadrature"): a face-centre probe and its mirror image
     evaluate one box.  Each x's values add in its split order, then the sums.
+    The last _MEMO_SIZE results are kept, so a repeated key is not integrated
+    again; keys that compare equal (0.0 and -0.0, a float and a numpy float64)
+    split the box alike and give the same float.
     """
     if method == "closed_form":
         rule = _corner_box_integral

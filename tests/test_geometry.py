@@ -393,6 +393,7 @@ def test_closed_form_g_error_against_references_is_recorded():
 @pytest.fixture
 def column_runs(monkeypatch):
     """Arguments of every corner-box column walk made while the test runs."""
+    geometry._box_integral.cache_clear()  # an earlier test's key would take no walk
     runs = []
     real = geometry._column_corner_integral
     monkeypatch.setattr(geometry, "_column_corner_integral",
@@ -406,6 +407,7 @@ def test_catalog_pair_takes_one_column_walk(column_runs):
     # that reflect to one corner box: one walk in all
     for label, geom, probes, factor in catalog_pairs():
         column_runs.clear()
+        geometry._box_integral.cache_clear()  # gaas_piezo/bar is ingaas/V5's box
         factor(geom, probes, method="quadrature")
         assert len(column_runs) == 1, label
 
@@ -413,6 +415,7 @@ def test_catalog_pair_takes_one_column_walk(column_runs):
 @pytest.fixture
 def column_work(monkeypatch):
     """Counts of the Gauss and the singular columns integrated while the test runs."""
+    geometry._box_integral.cache_clear()  # an earlier test's key would integrate nothing
     work = {"gauss": 0, "singular": 0}
     real_gauss, real_corner = geometry._gauss_columns, geometry._corner_box_integral
 
@@ -486,6 +489,7 @@ def test_closed_form_evaluates_each_distinct_corner_box_once(monkeypatch, point,
     real = geometry._corner_box_integral
     monkeypatch.setattr(geometry, "_corner_box_integral",
                         lambda u, v: calls.append((u, v)) or real(u, v))
+    geometry._box_integral.cache_clear()
     got = box_integral(dims, point)
     assert len(calls) == evaluations
     # added back once per corner box, in the split's order: the unfolded sum
@@ -511,6 +515,7 @@ def test_mirror_pair_evaluates_one_probes_corner_boxes(monkeypatch, method, rule
                         lambda u, v, *rest: calls.append((u, v)) or real(u, v, *rest))
     for factor in (geometric_factor, geometric_factor_transverse):
         calls.clear()
+        geometry._box_integral.cache_clear()  # both factors take one key
         g = factor(geom, probes, method=method).value.to("cm^-1")
         assert sorted(calls) == sorted(split1)
         assert g == two_integral_factor(geom, probes, factor, method)
@@ -534,6 +539,7 @@ def test_quadrature_factor_peak_memory_under_1_mb():
     entries, _ = load_catalog(bundled_config_text("ybco"))
     entry = next(e for e in entries if e.sample_id == "bulk-B")
     geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")  # warm up
+    geometry._box_integral.cache_clear()  # measure a walk, not a memo hit
     tracemalloc.start()
     try:
         geometric_factor(entry.geom, entry.probes_longitudinal, method="quadrature")
@@ -541,6 +547,68 @@ def test_quadrature_factor_peak_memory_under_1_mb():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_repeated_box_integral_is_not_integrated_again(column_work, method):
+    # the process-level memo: equal inputs find the first call's float and
+    # run no rule
+    entries, _ = load_catalog(bundled_config_text("ingaas"))
+    entry = next(e for e in entries if e.sample_id == "V1")
+    point = np.array([0.3e-4, 0.2e-4, 0.5e-6])
+    for evaluate in (
+            lambda: geometric_factor(entry.geom, entry.probes_longitudinal,
+                                     method=method).value.to("cm^-1"),
+            lambda: coulomb_box_integral(entry.geom, point, method=method).to("cm^2")):
+        first = evaluate()
+        assert column_work["singular"] > 0
+        column_work.update(gauss=0, singular=0)
+        assert evaluate() == first
+        assert column_work == {"gauss": 0, "singular": 0}
+
+
+def test_box_integrals_kept_in_a_bounded_cache():
+    assert geometry._box_integral.cache_info().maxsize is not None
+
+
+def test_unknown_method_refused_on_every_call():
+    # an error is not cached: the same bad key raises again and takes no slot
+    geom = SampleGeometry(l=1.0, w=1.0, a=1.0)
+    size = geometry._box_integral.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(GeometryError, match="unknown method 'bogus'"):
+            coulomb_box_integral(geom, (0.5, 0.5, 0.5), method="bogus")
+        with pytest.raises(GeometryError, match="unknown method 'bogus'"):
+            geometric_factor(geom, longitudinal_probes(geom), method="bogus")
+    assert geometry._box_integral.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_keys_that_compare_equal_give_bit_equal_values(method):
+    # a memo hit returns the float of whichever equal key came first, so equal
+    # keys must integrate alike; each value here is computed afresh
+    def fresh(factor, dims, *where):
+        geometry._box_integral.cache_clear()
+        geom = SampleGeometry(*dims)
+        if factor is coulomb_box_integral:
+            return factor(geom, *where, method=method).to("cm^2").hex()
+        return factor(geom, ProbePair(*where), method=method).value.to("cm^-1").hex()
+
+    dims = (1.0, 0.7, 0.4)
+    for point in [(0.0, 0.2, 0.1), (0.3, 0.0, 0.1), (0.3, 0.2, 0.0), (0.0, 0.0, 0.0)]:
+        signed = tuple(-0.0 if c == 0.0 else c for c in point)
+        assert signed == point  # one memo key
+        assert (fresh(coulomb_box_integral, dims, signed)
+                == fresh(coulomb_box_integral, dims, point)), point
+    probes = ((0.0, 0.35, 0.2), (1.0, 0.35, 0.2))
+    mirrored = ((-0.0, 0.35, 0.2), (1.0, 0.35, 0.2))
+    for factor in (geometric_factor, geometric_factor_transverse):
+        assert fresh(factor, dims, *mirrored) == fresh(factor, dims, *probes)
+        assert (fresh(factor, np.array(dims), *map(np.array, probes))
+                == fresh(factor, dims, *probes))
+    point = (0.3, 0.2, 0.1)
+    assert (fresh(coulomb_box_integral, np.array(dims), np.array(point))
+            == fresh(coulomb_box_integral, dims, point))
 
 
 def test_table_g_within_20_percent():
